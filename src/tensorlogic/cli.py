@@ -192,7 +192,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--cap", type=int, default=16, help="axiom usage cap for theory decisions")
     parser.add_argument("--max-nodes", type=int, default=2000, help="node bound for proof search")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomised commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate a proof file and print its conclusion")

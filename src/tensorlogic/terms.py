@@ -73,20 +73,15 @@ def tensor_of(terms: Iterable[Term]) -> Term:
 
 def atom_list(obj: Term | Iterable[Term]) -> list[str]:
     """Atom names of a term (or term sequence) in left-to-right order."""
+    stack = [obj] if isinstance(obj, (Atom, Unit, Tensor)) else list(obj)[::-1]
     out: list[str] = []
-
-    def walk(t: Term) -> None:
+    while stack:
+        t = stack.pop()
+        while isinstance(t, Tensor):  # walk the left spine, leaving right subterms
+            stack.append(t.right)
+            t = t.left
         if isinstance(t, Atom):
             out.append(t.name)
-        elif isinstance(t, Tensor):
-            walk(t.left)
-            walk(t.right)
-
-    if isinstance(obj, (Atom, Unit, Tensor)):
-        walk(obj)
-    else:
-        for t in obj:
-            walk(t)
     return out
 
 
@@ -97,9 +92,15 @@ def atom_vector(obj: Term | Iterable[Term]) -> Counter:
 
 def term_size(t: Term) -> int:
     """Number of syntax-tree nodes (atoms, units, and tensors)."""
-    if isinstance(t, Tensor):
-        return 1 + term_size(t.left) + term_size(t.right)
-    return 1
+    size = 1  # a tree with k tensor nodes has k + 1 leaves
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while isinstance(t, Tensor):
+            size += 2
+            stack.append(t.right)
+            t = t.left
+    return size
 
 
 # --- rendering ---------------------------------------------------------------

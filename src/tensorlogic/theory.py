@@ -20,15 +20,19 @@ its full source multiset, and (iii) synthesise a checkable witness proof with
 axiom leaves.  ``NotProvable`` is only reported when the balance equation is
 infeasible even over non-negative rationals for a conversion-free form of the
 theory; otherwise exhaustion of the cap yields ``Unknown``.
+
+That rational feasibility test, ``balance_feasible``, is exact: phase I of
+the simplex method over Python integers, with fraction-free pivots and
+Bland's rule against cycling.  Its answers rest on no floating-point
+tolerance, and the package needs no numeric library.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from pathlib import Path
-
-from scipy.optimize import linprog
 
 from .decision import synthesize_proof
 from .kernel import (
@@ -280,21 +284,65 @@ def _balance_rhs(inference: Inference) -> Counter:
     return rhs
 
 
+def _pivoted(row: list[int], pivot_row: list[int], e: int) -> list[int]:
+    """``p*row - f*pivot_row`` with ``p = pivot_row[e] > 0``, divided by its gcd.
+
+    The scale factor is positive, so every sign in ``row`` keeps its meaning."""
+    p, f = pivot_row[e], row[e]
+    out = [p * a - f * b for a, b in zip(row, pivot_row)]
+    g = gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
 def balance_feasible(theory: Theory, inference: Inference) -> bool:
-    """Feasibility of the balance equation over non-negative rationals."""
+    """Whether ``A x = b`` has a solution ``x >= 0``, decided exactly.
+
+    ``A`` holds one column per axiom (its atom balance) and ``b`` is the
+    inference's atom balance.  Phase I of the simplex method minimises the
+    sum of one artificial variable per row, starting from the artificial
+    basis after each row's sign is flipped so that ``b >= 0``; the system is
+    feasible iff that minimum is 0.  Every row is kept as an integer vector
+    (a positive multiple of the rational tableau row), pivots are
+    fraction-free, and ratios are compared by cross-multiplication, so each
+    sign test is exact: there is no tolerance to tune.  Bland's rule (the
+    lowest-index column with a negative reduced cost enters; among the rows
+    of minimum ratio, the one whose basic variable has the lowest index
+    leaves) rules out cycling, so the loop terminates.  A rational solution
+    exists iff a real one does, since the data are integers.
+    """
     cols = _balance_columns(theory)
     rhs = _balance_rhs(inference)
     names = sorted(set(rhs) | {n for c in cols for n in c})
-    if not cols:
-        return all(rhs[n] == 0 for n in names)
-    if not names:
-        return True
-    a_eq = [[c[n] for c in cols] for n in names]
-    b_eq = [rhs[n] for n in names]
-    res = linprog(
-        c=[0.0] * len(cols), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * len(cols), method="highs"
-    )
-    return res.status != 2  # 2 = infeasible
+    n, m = len(cols), len(names)
+    rows: list[list[int]] = []
+    for i, name in enumerate(names):
+        sign = -1 if rhs[name] < 0 else 1
+        row = [sign * c[name] for c in cols] + [0] * m + [sign * rhs[name]]
+        row[n + i] = 1
+        rows.append(row)
+    basis = list(range(n, n + m))
+    # reduced costs of the objective "sum of artificials", then -(its value)
+    z = [-sum(row[j] for row in rows) for j in range(n + m + 1)]
+    z[n : n + m] = [0] * m
+    while z[-1] != 0:
+        e = next((j for j, d in enumerate(z[:-1]) if d < 0), None)
+        if e is None:
+            return False
+        # the objective is bounded below by 0, so some row has row[e] > 0
+        r = -1
+        for i, row in enumerate(rows):
+            if row[e] > 0:
+                if r < 0:
+                    r = i
+                    continue
+                cmp = row[-1] * rows[r][e] - rows[r][-1] * row[e]
+                if cmp < 0 or (cmp == 0 and basis[i] < basis[r]):
+                    r = i
+        pivot_row = rows[r]
+        rows = [row if i == r or row[e] == 0 else _pivoted(row, pivot_row, e) for i, row in enumerate(rows)]
+        z = _pivoted(z, pivot_row, e)
+        basis[r] = e
+    return True
 
 
 def _balanced_solutions(theory: Theory, inference: Inference, cap: int):
@@ -366,10 +414,6 @@ def _conversion_order(theory: Theory, start: Counter, k: tuple[int, ...]) -> lis
 # --- witness synthesis -------------------------------------------------------
 
 
-def _flat(names: list[str]) -> Term:
-    return _rebuild(names)
-
-
 def _cut_last(p: Proof, q: Proof) -> Proof:
     return Proof(Cut(None), (p, q))
 
@@ -388,7 +432,7 @@ def build_witness(
 ) -> Proof:
     """A mode-``t`` proof of ``inference`` using the budgeted axiom leaves."""
     state = atom_list(inference.antecedent)
-    cur = _flat(state)
+    cur = _rebuild(state)
     p = synthesize_proof(Inference(inference.antecedent, cur), Mode.T)
     for i, mi in enumerate(m):
         x = theory.available[i]
@@ -396,27 +440,27 @@ def build_witness(
             p = Proof(RTensor(), (p, Proof(RAxiom(x))))
             cur = Tensor(cur, x)
             state = state + atom_list(x)
-            p, cur = _step(p, cur, _flat(state))
+            p, cur = _step(p, cur, _rebuild(state))
     for l in order:
         a, b = theory.conversions[l]
         state = _remove_occurrences(state, atom_vector(a))
-        rest = _flat(state)
+        rest = _rebuild(state)
         p, cur = _step(p, cur, Tensor(rest, a))
         conv = tensor_proofs(identity_proof(rest, Mode.T), Proof(ConvAxiom(a, b)))
         p = _cut_last(p, conv)
         cur = Tensor(rest, b)
         state = state + atom_list(b)
-        p, cur = _step(p, cur, _flat(state))
+        p, cur = _step(p, cur, _rebuild(state))
     for j, nj in enumerate(n):
         y = theory.disposable[j]
         for _ in range(nj):
             state = _remove_occurrences(state, atom_vector(y))
-            rest = _flat(state)
+            rest = _rebuild(state)
             p, cur = _step(p, cur, Tensor(rest, y))
             disp = tensor_proofs(identity_proof(rest, Mode.T), Proof(LAxiom(y)))
             p = _cut_last(p, disp)
             cur = Tensor(rest, UNIT)
-            p, cur = _step(p, cur, _flat(state))
+            p, cur = _step(p, cur, _rebuild(state))
     p, cur = _step(p, cur, inference.consequent)
     return p
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +125,23 @@ def test_input_errors_exit_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == EXIT_INPUT
+
+
+def test_theory_decide_imports_no_numeric_stack():
+    """A fresh CLI process decides in a theory without importing SciPy or
+    NumPy, which would add most of a second to every start-up."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from tensorlogic.cli import main\n"
+        "codes = [main(['--theory', 'theories/locc.thy', 'theory', 'decide', t])"
+        " for t in ('E * Q_A |- Q_B', 'E |- E * E')]\n"
+        "print(codes, sorted(m for m in ('scipy', 'numpy') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"[{EXIT_YES}, {EXIT_NO}] []"

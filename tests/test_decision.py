@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorlogic import (
+    Atom,
     Decision,
+    Inference,
     Mode,
     NotProvableError,
     Prover,
@@ -15,7 +17,7 @@ from tensorlogic import (
     parse_inference,
     synthesize_proof,
 )
-from tensorlogic.terms import atom_list, atom_vector
+from tensorlogic.terms import Tensor, atom_list, atom_vector, tensor_of, term_size
 
 from helpers import random_balanced_inference, random_inference, random_proof
 
@@ -90,6 +92,29 @@ def test_decide_criteria_shapes():
     assert atom_list(inf.antecedent) != atom_list(inf.consequent)
     assert is_provable(inf, Mode.T)
     assert not is_provable(inf, Mode.TPRIME)
+
+
+def test_decide_deep_combs():
+    """Term traversals do not recurse, so size alone cannot crash ``decide``.
+
+    The combs are built directly: the parser and ``hash()`` still recurse."""
+    n = 10_000
+    atoms = [Atom(f"A{i}") for i in range(n)]
+    left = tensor_of(atoms)
+    right = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        right = Tensor(a, right)
+    names = [a.name for a in atoms]
+    for comb in (left, right):
+        assert atom_list(comb) == names
+        assert term_size(comb) == 2 * n - 1
+    reversed_left = tensor_of(reversed(atoms))
+    for mode in (Mode.T, Mode.TPRIME):
+        assert decide(Inference((left,), right), mode) is Decision.PROVABLE
+        assert decide(Inference((right,), left), mode) is Decision.PROVABLE
+        assert decide(Inference((left,), Tensor(right, atoms[0])), mode) is Decision.NOT_PROVABLE
+    assert decide(Inference((reversed_left,), right), Mode.T) is Decision.PROVABLE
+    assert decide(Inference((reversed_left,), right), Mode.TPRIME) is Decision.NOT_PROVABLE
 
 
 @given(seeds, modes_st)

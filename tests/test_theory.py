@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorlogic import (
+    UNIT,
     Atom,
     Decision,
     Inference,
@@ -23,6 +24,7 @@ from tensorlogic.theory import (
     ConversionPresent,
     EncodingError,
     SharedAtoms,
+    Theory,
     UndeclaredAtom,
     balance_feasible,
     encode_conversion,
@@ -97,11 +99,73 @@ def test_decide_in_theory_verdicts(path, inference, status):
 
 
 def test_balance_feasibility():
-    th = load_theory("theories/cloning.thy")
-    assert balance_feasible(th, parse_inference("C |- C * C"))
-    assert not balance_feasible(th, parse_inference("C |- 1"))
-    locc = load_theory("theories/locc.thy")
-    assert not balance_feasible(locc, parse_inference("E |- E * E"))
+    cases = [
+        ("cloning", "C |- C * C", True),
+        ("cloning", "C |- 1", False),
+        ("cloning", "|- 1", True),
+        ("coherence", "1 |- Q(1)", False),
+        ("coherence", "Q(1) |- Q(0.5)", True),
+        ("locc", "E * Q_A |- Q_B", True),
+        ("locc", "E |- E * E", False),
+        ("locc-weak", "E |- Q_A * Q_B", False),  # decide_in_theory still says unknown
+    ]
+    for name, inference, feasible in cases:
+        th = load_theory(f"theories/{name}.thy")
+        assert balance_feasible(th, parse_inference(inference)) is feasible, (name, inference)
+
+
+def _system(matrix, b):
+    """A theory and an inference whose balance equation is ``matrix x = b``:
+    row ``i`` is atom ``R<i>``, each column one conversion."""
+    names = [f"R{i}" for i in range(len(b))]
+
+    def side(entries):
+        return tensor_of([Atom(nm) for nm, v in zip(names, entries) for _ in range(max(v, 0))])
+
+    columns = [[row[j] for row in matrix] for j in range(len(matrix[0]) if matrix else 0)]
+    conversions = tuple((side([-v for v in col]), side(col)) for col in columns)
+    inference = Inference((side([-v for v in b]),), side(b))
+    return Theory(frozenset(names), conversions=conversions), inference
+
+
+@pytest.mark.parametrize(
+    "matrix,b,feasible",
+    [
+        ([], [], True),  # no rows, no columns
+        ([[], []], [0, 0], True),  # no columns
+        ([[], []], [0, 1], False),
+        ([[], []], [-1, 0], False),
+        ([[1, -1], [0, 0]], [0, 0], True),  # b = 0: the origin
+        ([[1, -1, 0], [0, 1, -1], [1, 0, 1]], [0, 0, 2], True),  # degenerate: x = (1, 1, 1)
+        ([[1, -1, 0], [0, 1, -1], [1, 0, 1]], [0, 0, -2], False),
+        ([[1, 1], [1, -1]], [1, 2], False),  # unique solution (3/2, -1/2)
+        ([[2, 0], [0, 2]], [1, 3], True),  # rational, not integral: x = (1/2, 3/2)
+        ([[1, -1]], [-5], True),
+        ([[1, 1]], [-1], False),
+    ],
+)
+def test_balance_feasible_hand_cases(matrix, b, feasible):
+    assert balance_feasible(*_system(matrix, b)) is feasible
+
+
+def test_balance_feasible_without_rows():
+    # a column of zeros and a balanced inference mention no atom at all
+    assert balance_feasible(Theory(frozenset(), conversions=((UNIT, UNIT),)), Inference((), UNIT))
+
+
+def test_balance_feasible_agrees_with_linprog():
+    """The exact check against a floating-point LP solver on random sparse
+    systems with small entries, the shape of real balance equations."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(20161)
+    for _ in range(2000):
+        m, n = rng.randint(1, 9), rng.randint(1, 14)
+        density = rng.random()
+        matrix = [[rng.randint(-2, 2) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-2, 2) for _ in range(m)]
+        res = optimize.linprog([0] * n, A_eq=matrix, b_eq=b, bounds=[(0, None)] * n, method="highs")
+        assert res.status in (0, 2), res.message
+        assert balance_feasible(*_system(matrix, b)) is (res.status == 0), (matrix, b)
 
 
 def test_encode_conversion_styles():
