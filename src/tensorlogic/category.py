@@ -1,20 +1,22 @@
 """Categorical semantics: the syntactic (symmetric) monoidal category.
 
 Objects are terms; a morphism ``A -> B`` is an equivalence class of proofs of
-``A |- B``, represented by the canonical proof of that inference.  Cut
-interprets composition and the tensor of proofs interprets the monoidal
-product.  In mode ``t`` the category is symmetric; in mode ``tprime`` it is
-monoidal without a braiding.  ``check_diagram`` verifies the coherence
-diagrams and naturality squares by comparing composite morphisms.
+``A |- B``.  The category is thin: there is at most one morphism ``A -> B``,
+so a morphism is determined by its checked endpoints and its mode, and
+morphisms compare by those alone.  Each one carries some checked proof of
+``A |- B`` as its witness, not a canonical one.  Cut interprets composition
+and the tensor of proofs interprets the monoidal product.  In mode ``t`` the
+category is symmetric; in mode ``tprime`` it is monoidal without a braiding.
+``check_diagram`` verifies the coherence diagrams and naturality squares by
+comparing composite morphisms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .decision import is_provable, synthesize_proof
 from .kernel import (
-    Cut,
     Exchange,
     LTensor,
     LUnit,
@@ -22,6 +24,7 @@ from .kernel import (
     Proof,
     RTensor,
     check,
+    cut_proofs,
     identity_proof,
     tensor_proofs,
 )
@@ -33,22 +36,26 @@ class Morphism:
     source: Term
     target: Term
     mode: Mode
-    proof: Proof  # the canonical representative of the proof class
+    proof: Proof = field(compare=False)  # a checked proof of source |- target
 
     def __repr__(self) -> str:
         return f"Morphism({render_term(self.source)} -> {render_term(self.target)})"
 
 
 def morphism_of(proof: Proof, mode: Mode) -> Morphism:
-    """The morphism named by a proof: its class under canonicalisation.
+    """The morphism named by a proof: the class of its checked conclusion.
 
     A proof with antecedent ``A1, ..., Ak`` names a morphism out of the
-    tensor ``A1 (x) ... (x) Ak`` (the unit for an empty antecedent).
+    tensor ``A1 (x) ... (x) Ak`` (the unit for an empty antecedent); the
+    antecedent is fused into that one item by left-tensor steps.
     """
     conclusion = check(proof, mode)
-    source = tensor_of(conclusion.antecedent)
-    canonical = synthesize_proof(Inference((source,), conclusion.consequent), mode)
-    return Morphism(source, conclusion.consequent, mode, canonical)
+    k = len(conclusion.antecedent)
+    if k == 0:
+        proof = Proof(LUnit(0), (proof,))
+    for _ in range(k - 1):
+        proof = Proof(LTensor(0), (proof,))
+    return Morphism(tensor_of(conclusion.antecedent), conclusion.consequent, mode, proof)
 
 
 def identity(a: Term, mode: Mode) -> Morphism:
@@ -63,11 +70,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
         raise ValueError(
             f"cannot compose: {render_term(f.target)} does not match {render_term(g.source)}"
         )
-    if f.mode is Mode.T:
-        proof = Proof(Cut(None), (f.proof, g.proof))
-    else:
-        proof = Proof(Cut(0), (f.proof, g.proof))
-    return morphism_of(proof, f.mode)
+    return morphism_of(cut_proofs(f.proof, g.proof, 0, f.mode, 1), f.mode)
 
 
 def boxtimes(f: Morphism, g: Morphism) -> Morphism:
@@ -136,14 +139,9 @@ DIAGRAMS = (
 )
 
 
-def _need(terms, n: int, name: str):
-    if len(terms) != n:
-        raise ValueError(f"{name} needs {n} object(s), got {len(terms)}")
-
-
-def _need_morphisms(morphisms, n: int, name: str):
-    if len(morphisms) != n:
-        raise ValueError(f"{name} needs {n} morphism(s), got {len(morphisms)}")
+def _need(items, n: int, name: str, kind: str = "object"):
+    if len(items) != n:
+        raise ValueError(f"{name} needs {n} {kind}(s), got {len(items)}")
 
 
 def check_diagram(
@@ -197,25 +195,25 @@ def check_diagram(
         left = compose(symmetry(a, b, mode), symmetry(b, a, mode))
         return left == identity(Tensor(a, b), mode)
     if name == "interchange":
-        _need_morphisms(morphisms, 4, name)
+        _need(morphisms, 4, name, "morphism")
         f, h, g, k = morphisms
         left = compose(boxtimes(f, g), boxtimes(h, k))
         right = boxtimes(compose(f, h), compose(g, k))
         return left == right
     if name == "nat-lambda":
-        _need_morphisms(morphisms, 1, name)
+        _need(morphisms, 1, name, "morphism")
         (f,) = morphisms
         left = compose(unit_left(f.source, mode), f)
         right = compose(boxtimes(identity(UNIT, mode), f), unit_left(f.target, mode))
         return left == right
     if name == "nat-rho":
-        _need_morphisms(morphisms, 1, name)
+        _need(morphisms, 1, name, "morphism")
         (f,) = morphisms
         left = compose(unit_right(f.source, mode), f)
         right = compose(boxtimes(f, identity(UNIT, mode)), unit_right(f.target, mode))
         return left == right
     if name == "nat-alpha":
-        _need_morphisms(morphisms, 3, name)
+        _need(morphisms, 3, name, "morphism")
         f, g, h = morphisms
         left = compose(
             associator(f.source, g.source, h.source, mode), boxtimes(f, boxtimes(g, h))
@@ -225,7 +223,7 @@ def check_diagram(
         )
         return left == right
     if name == "nat-sigma":
-        _need_morphisms(morphisms, 2, name)
+        _need(morphisms, 2, name, "morphism")
         f, g = morphisms
         left = compose(symmetry(f.source, g.source, mode), boxtimes(g, f))
         right = compose(boxtimes(f, g), symmetry(f.target, g.target, mode))

@@ -30,6 +30,7 @@ from .terms import (
     Unit,
     _lex,
     _parse_term_tokens,
+    _STRUCTURAL,
     _TokenStream,
     render_term,
 )
@@ -264,15 +265,6 @@ def rule_conclusion(
     raise RuleMismatch(f"unknown rule {rule!r}")  # pragma: no cover
 
 
-def cut_position(proof: Proof, mode: Mode, right_conclusion: Inference) -> int:
-    """Effective cut position of a Cut node given its right premise's conclusion."""
-    assert isinstance(proof.rule, Cut)
-    if mode is Mode.T:
-        return len(right_conclusion.antecedent) - 1
-    assert proof.rule.position is not None
-    return proof.rule.position
-
-
 # --- constructors ------------------------------------------------------------
 
 
@@ -322,24 +314,29 @@ def _antecedent_len_of(proof: Proof, mode: Mode) -> int:
     return len(check_loose(proof, mode).antecedent)
 
 
+class _Permissive:
+    """Licenses every axiom leaf; used where conclusions are shape-only."""
+
+    def is_available(self, term: Term) -> bool:
+        return True
+
+    def is_disposable(self, term: Term) -> bool:
+        return True
+
+    def is_conversion(self, source: Term, target: Term) -> bool:
+        return True
+
+
+_PERMISSIVE = _Permissive()
+
+
 def check_loose(proof: Proof, mode: Mode) -> Inference:
     """Like :func:`check` but accepting any axiom leaf without a theory.
 
     Used internally where the licensing theory is not at hand; axiom leaves
     contribute their nominal conclusions.
     """
-
-    class _AnyTheory:
-        def is_available(self, term: Term) -> bool:
-            return True
-
-        def is_disposable(self, term: Term) -> bool:
-            return True
-
-        def is_conversion(self, source: Term, target: Term) -> bool:
-            return True
-
-    return check(proof, mode, _AnyTheory())  # type: ignore[arg-type]
+    return check(proof, mode, _PERMISSIVE)  # type: ignore[arg-type]
 
 
 # --- derived eliminations ----------------------------------------------------
@@ -431,10 +428,7 @@ def eliminate_right_unit(proof: Proof, mode: Mode, site: int) -> Proof:
     paths = [p for p in _unit_paths(conc.consequent) if p]
     if not 0 <= site < len(paths):
         raise PositionOutOfRange(f"consequent has {len(paths)} unit factors, requested {site}")
-    drop = _unit_drop_proof(conc.consequent, paths[site], mode)
-    if mode is Mode.T:
-        return Proof(Cut(None), (proof, drop))
-    return Proof(Cut(0), (proof, drop))
+    return cut_proofs(proof, _unit_drop_proof(conc.consequent, paths[site], mode), 0, mode, 1)
 
 
 # --- mode adapter ------------------------------------------------------------
@@ -512,7 +506,7 @@ def _parse_proof_tokens(ts: _TokenStream) -> Proof:
     n_premises: int
     if head == "id":
         tok = ts.next()
-        if tok in _STRUCTURAL_SEXP:
+        if tok in _STRUCTURAL:
             raise ParseError(f"expected an atom name, got {tok!r}")
         rule, n_premises = Id(Atom(tok)), 0
     elif head == "r1":
@@ -542,9 +536,6 @@ def _parse_proof_tokens(ts: _TokenStream) -> Proof:
     premises = tuple(_parse_proof_tokens(ts) for _ in range(n_premises))
     ts.expect(")")
     return Proof(rule, premises)
-
-
-_STRUCTURAL_SEXP = {"(", ")", "*", ",", "|-", "1"}
 
 
 def parse_proof(text: str) -> Proof:

@@ -17,9 +17,15 @@ The text format, one statement per ``;``::
 solutions of the atom balance equation by increasing total axiom usage up to
 a cap, (ii) search for an application order in which each conversion holds
 its full source multiset, and (iii) synthesise a checkable witness proof with
-axiom leaves.  ``NotProvable`` is only reported when the balance equation is
-infeasible even over non-negative rationals for a conversion-free form of the
-theory; otherwise exhaustion of the cap yields ``Unknown``.
+axiom leaves.  ``not-provable`` is reported exactly when the balance
+equation has no solution over the non-negative rationals, which is a sound
+refutation (the Petri-net state equation): every kernel rule keeps the
+balance of an inference (consequent atoms minus antecedent atoms) additive,
+since ``cut`` cancels the cut term and the other rules keep or add their
+premises' balances, and each axiom leaf adds its column (``+X`` for an
+available ``X``, ``-Y`` for a disposable ``Y``, ``B - A`` for a conversion
+``A -> B``).  When a solution exists but no witness turns up within the cap,
+the verdict is ``unknown``.
 
 That rational feasibility test, ``balance_feasible``, is exact: phase I of
 the simplex method over Python integers, with fraction-free pivots and
@@ -278,10 +284,18 @@ def _balance_columns(theory: Theory):
     return cols
 
 
-def _balance_rhs(inference: Inference) -> Counter:
+def _balance_system(theory: Theory, inference: Inference):
+    """``(columns, rhs)`` of the balance equation ``A x = b``.
+
+    Rows are the atoms the system mentions, in sorted order.  ``columns``
+    hold one integer vector per axiom (available, disposable, conversion)
+    and ``rhs`` is the inference's balance.
+    """
+    cols = _balance_columns(theory)
     rhs = Counter(atom_vector(inference.consequent))
     rhs.subtract(atom_vector(inference.antecedent))
-    return rhs
+    names = sorted(set(rhs) | {n for c in cols for n in c})
+    return [[c[n] for n in names] for c in cols], [rhs[n] for n in names]
 
 
 def _pivoted(row: list[int], pivot_row: list[int], e: int) -> list[int]:
@@ -310,14 +324,12 @@ def balance_feasible(theory: Theory, inference: Inference) -> bool:
     leaves) rules out cycling, so the loop terminates.  A rational solution
     exists iff a real one does, since the data are integers.
     """
-    cols = _balance_columns(theory)
-    rhs = _balance_rhs(inference)
-    names = sorted(set(rhs) | {n for c in cols for n in c})
-    n, m = len(cols), len(names)
+    cols, rhs = _balance_system(theory, inference)
+    n, m = len(cols), len(rhs)
     rows: list[list[int]] = []
-    for i, name in enumerate(names):
-        sign = -1 if rhs[name] < 0 else 1
-        row = [sign * c[name] for c in cols] + [0] * m + [sign * rhs[name]]
+    for i, b in enumerate(rhs):
+        sign = -1 if b < 0 else 1
+        row = [sign * c[i] for c in cols] + [0] * m + [sign * b]
         row[n + i] = 1
         rows.append(row)
     basis = list(range(n, n + m))
@@ -347,12 +359,8 @@ def balance_feasible(theory: Theory, inference: Inference) -> bool:
 
 def _balanced_solutions(theory: Theory, inference: Inference, cap: int):
     """Yield ``(m, n, k)`` solving the balance equation, by increasing total."""
-    cols = _balance_columns(theory)
-    rhs = _balance_rhs(inference)
-    names = sorted(set(rhs) | {n for c in cols for n in c})
-    vecs = [[c[n] for n in names] for c in cols]
-    target = [rhs[n] for n in names]
-    n_vars = len(cols)
+    vecs, target = _balance_system(theory, inference)
+    n_vars = len(vecs)
     if n_vars == 0:
         if all(v == 0 for v in target):
             yield ()
@@ -370,7 +378,7 @@ def _balanced_solutions(theory: Theory, inference: Inference, cap: int):
             yield from rec(idx + 1, budget - use, acc + [use], row)
 
     for total in range(cap + 1):
-        yield from rec(0, total, [], [0] * len(names))
+        yield from rec(0, total, [], [0] * len(target))
 
 
 # --- conversion ordering -----------------------------------------------------
@@ -477,23 +485,21 @@ class TheoryVerdict:
 
 
 def decide_in_theory(theory: Theory, inference: Inference, cap: int = 16) -> TheoryVerdict:
+    """Decide ``inference`` in ``theory``, trying at most ``cap`` axiom uses.
+
+    ``not-provable`` is sound: a proof's conclusion has the balance of the sum
+    of its axiom leaves' columns, so when :func:`balance_feasible` finds no
+    non-negative solution, conversion columns included, no proof exists.
+    ``unknown`` means no balanced solution up to the cap had a valid
+    conversion order.
+    """
     for t in inference.antecedent:
         _check_declared(theory.atoms, t, "inference")
     _check_declared(theory.atoms, inference.consequent, "inference")
 
     n_av, n_di = len(theory.available), len(theory.disposable)
     if not balance_feasible(theory, inference):
-        if not theory.conversions:
-            return TheoryVerdict("not-provable", cap)
-        # The obstruction is only complete for conversion-free theories;
-        # escalate through the negative-atom encoding when it exists.
-        try:
-            encoded = encode_conversion(theory, "negativeFrom")
-        except EncodingError:
-            return TheoryVerdict("unknown", cap)
-        if not balance_feasible(encoded, inference):
-            return TheoryVerdict("not-provable", cap)
-        return TheoryVerdict("unknown", cap)
+        return TheoryVerdict("not-provable", cap)
 
     start_base = atom_vector(inference.antecedent)
     for sol in _balanced_solutions(theory, inference, cap):

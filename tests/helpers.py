@@ -7,14 +7,17 @@ import random
 from tensorlogic import (
     UNIT,
     Atom,
+    ConvAxiom,
     Cut,
     Exchange,
     Id,
     Inference,
+    LAxiom,
     LTensor,
     LUnit,
     Mode,
     Proof,
+    RAxiom,
     RTensor,
     RUnit,
     Tensor,
@@ -71,20 +74,26 @@ def _tree(rng: random.Random, names: list[str]):
     return Tensor(_tree(rng, names[:k]), _tree(rng, names[k:]))
 
 
-def random_proof(rng: random.Random, mode: Mode, steps: int = 10, atoms=ATOMS) -> Proof:
+def random_proof(rng: random.Random, mode: Mode, steps: int = 10, atoms=ATOMS, theory=None) -> Proof:
     """A random valid proof built forward from leaves.
 
     Grows a pool from identity and unit leaves by tensoring, fusing,
     inserting units, exchanging (mode ``t``) and cutting; cuts reuse pool
-    proofs with matching consequents where possible.
+    proofs with matching consequents where possible.  With a ``theory`` the
+    pool also starts with one axiom leaf per axiom, and the proof checks in
+    that theory.
     """
     pool = [Proof(Id(Atom(rng.choice(atoms)))) for _ in range(3)]
     pool.append(Proof(RUnit()))
-    concs = [check(p, mode) for p in pool]
+    if theory is not None:
+        pool += [Proof(RAxiom(x)) for x in theory.available]
+        pool += [Proof(LAxiom(y)) for y in theory.disposable]
+        pool += [Proof(ConvAxiom(a, b)) for a, b in theory.conversions]
+    concs = [check(p, mode, theory) for p in pool]
 
     def push(p):
         pool.append(p)
-        concs.append(check(p, mode))
+        concs.append(check(p, mode, theory))
 
     for _ in range(steps):
         op = rng.choice("rx rx l1 lx ex cut".split())
@@ -118,6 +127,62 @@ def random_small_proof(rng: random.Random, mode: Mode, max_size: int = 25) -> Pr
         if p.size() <= max_size:
             return p
     return identity_proof(Atom("A"), mode)
+
+
+# --- occurrence wiring -------------------------------------------------------
+
+
+def wiring(proof: Proof, mode: Mode) -> list[int]:
+    """For each atom occurrence of the consequent, left to right, the index of
+    the antecedent atom occurrence that feeds it.
+
+    This is the Kelly-Mac Lane graph of an axiom-free proof: unlike the
+    conclusion, it tells the swap of ``A, A |- A * A`` from the identity.
+    """
+    return _wire(proof, mode)[1]
+
+
+def _wire(proof: Proof, mode: Mode) -> tuple[list[int], list[int]]:
+    """``(sizes, links)``: the atom count of each antecedent item, and the
+    wiring of the consequent's occurrences into the flattened antecedent."""
+    rule = proof.rule
+    wired = [_wire(p, mode) for p in proof.premises]
+    if isinstance(rule, Id):
+        return [1], [0]
+    if isinstance(rule, RUnit):
+        return [], []
+    if isinstance(rule, LUnit):
+        ((sizes, links),) = wired
+        return sizes[: rule.position] + [0] + sizes[rule.position :], links
+    if isinstance(rule, LTensor):
+        ((sizes, links),) = wired
+        q = rule.position
+        return sizes[:q] + [sizes[q] + sizes[q + 1]] + sizes[q + 2 :], links
+    if isinstance(rule, RTensor):
+        (s1, l1), (s2, l2) = wired
+        return s1 + s2, l1 + [x + sum(s1) for x in l2]
+    if isinstance(rule, Exchange):
+        ((sizes, links),) = wired
+        i, j, k = rule.i, rule.j, rule.k
+        order = list(range(i)) + list(range(j, k)) + list(range(i, j)) + list(range(k, len(sizes)))
+        starts = [sum(sizes[:t]) for t in range(len(sizes))]
+        moved = [starts[t] + r for t in order for r in range(sizes[t])]
+        new_index = {old: new for new, old in enumerate(moved)}
+        return [sizes[t] for t in order], [new_index[x] for x in links]
+    if isinstance(rule, Cut):
+        (s1, l1), (s2, l2) = wired
+        pos = len(s2) - 1 if mode is Mode.T else rule.position
+        start, width, grown = sum(s2[:pos]), s2[pos], sum(s1)
+
+        def through(x: int) -> int:
+            if x < start:
+                return x
+            if x < start + width:  # fed by the cut term: follow the left premise
+                return start + l1[x - start]
+            return x - width + grown
+
+        return s2[:pos] + s1 + s2[pos + 1 :], [through(x) for x in l2]
+    raise ValueError(f"no wiring through {rule!r}")
 
 
 # --- transformation instances ------------------------------------------------

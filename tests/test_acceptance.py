@@ -178,8 +178,8 @@ def test_resource_theory_examples_exit_codes():
         ("theories/coherence.thy", "1 |- Q(1)"),
     ]
     codes = [cli_main(["--theory", path, "theory", "decide", inf]) for path, inf in cases]
-    assert codes == [0, 0, 0, 2, 0, 0, 1], codes
-    report("shipped theory examples (exit codes 0/0/0/2/0/0/1)", time.monotonic() - start, None)
+    assert codes == [0, 0, 0, 1, 0, 0, 1], codes
+    report("shipped theory examples (exit codes 0/0/0/1/0/0/1)", time.monotonic() - start, None)
 
 
 def test_coherence_sweep_and_fullness():

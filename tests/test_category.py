@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensorlogic import Mode, parse_term
+from tensorlogic import Cut, Id, Mode, Proof, RTensor, RUnit, check, parse_term
 from tensorlogic.category import (
     DIAGRAMS,
     associator,
@@ -20,9 +20,9 @@ from tensorlogic.category import (
     unit_right,
 )
 from tensorlogic.monoid import entails_free
-from tensorlogic.terms import UNIT, Atom, Inference, Tensor
+from tensorlogic.terms import UNIT, Atom, Inference, Tensor, tensor_of
 
-from helpers import random_proof, random_term
+from helpers import random_proof, random_term, wiring
 
 seeds = st.integers(0, 2**32 - 1)
 modes_st = st.sampled_from([Mode.T, Mode.TPRIME])
@@ -40,11 +40,15 @@ def test_identity_laws(seed, mode):
 
 @given(seeds, modes_st)
 @settings(max_examples=60, deadline=None)
-def test_morphism_of_canonicalises(seed, mode):
-    proof = random_proof(random.Random(seed), mode)
-    f = morphism_of(proof, mode)
-    g = morphism_of(f.proof, mode)
-    assert f == g
+def test_morphism_of_fuses_antecedent(seed, mode):
+    three = Proof(RTensor(), (Proof(Id(A)), Proof(RTensor(), (Proof(Id(B)), Proof(Id(C))))))
+    for proof in (random_proof(random.Random(seed), mode), three, Proof(RUnit())):
+        conclusion = check(proof, mode)
+        f = morphism_of(proof, mode)
+        assert (f.source, f.target) == (tensor_of(conclusion.antecedent), conclusion.consequent)
+        assert check(f.proof, mode) == Inference((f.source,), f.target)
+        assert morphism_of(f.proof, mode) == f
+        assert isinstance(compose(f, identity(f.target, mode)).proof.rule, Cut)
 
 
 def test_composition_associative():
@@ -141,3 +145,33 @@ def test_boxtimes_shapes():
 
 def test_morphism_repr():
     assert "A * B -> B * A" in repr(symmetry(A, B, Mode.T))
+
+
+# --- occurrence wiring: the negative control for the thin category ----------
+
+
+def test_wiring_tells_symmetry_from_identity():
+    sigma, ident = symmetry(A, A, Mode.T), identity(Tensor(A, A), Mode.T)
+    assert sigma == ident  # equal morphisms of the thin category
+    assert wiring(sigma.proof, Mode.T) == [1, 0]
+    assert wiring(ident.proof, Mode.T) == [0, 1]
+
+
+@pytest.mark.parametrize("a,b", [(A, A), (A, B), (Tensor(A, B), A)])
+def test_symmetry_inverse_legs_wire_alike(a, b):
+    left = compose(symmetry(a, b, Mode.T), symmetry(b, a, Mode.T))
+    right = identity(Tensor(a, b), Mode.T)
+    assert wiring(left.proof, Mode.T) == wiring(right.proof, Mode.T)
+
+
+@pytest.mark.parametrize("a,b,c", [(A, A, A), (A, B, C), (A, UNIT, A), (A, A, Tensor(B, A))])
+def test_hexagon_legs_wire_alike(a, b, c):
+    m = Mode.T
+    left = compose(compose(associator(a, b, c, m), symmetry(a, Tensor(b, c), m)), associator(b, c, a, m))
+    right = compose(
+        compose(boxtimes(symmetry(a, b, m), identity(c, m)), associator(b, a, c, m)),
+        boxtimes(identity(b, m), symmetry(a, c, m)),
+    )
+    assert wiring(left.proof, m) == wiring(right.proof, m)
+    if (a, b, c) in ((A, A, A), (A, B, C)):
+        assert wiring(left.proof, m) == [1, 2, 0]

@@ -77,7 +77,7 @@ def test_theory_decide_paper_examples(capsys):
         ("theories/cloning.thy", "C |- C * C", EXIT_YES),
         ("theories/locc.thy", "E * Q_A |- Q_B", EXIT_YES),
         ("theories/locc-weak.thy", "E * Q_A |- Q_B", EXIT_YES),
-        ("theories/locc-weak.thy", "E |- Q_A * Q_B", EXIT_UNKNOWN),
+        ("theories/locc-weak.thy", "E |- Q_A * Q_B", EXIT_NO),
         ("theories/coherence.thy", "Q(1) |- Q(0.5)", EXIT_YES),
         ("theories/coherence.thy", "Q(0.5) |- 1", EXIT_YES),
         ("theories/coherence.thy", "1 |- Q(1)", EXIT_NO),

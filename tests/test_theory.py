@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from tensorlogic import (
     UNIT,
     Atom,
+    ConvAxiom,
     Decision,
     Inference,
+    LAxiom,
     Mode,
+    RAxiom,
     check,
     decide,
     decide_in_theory,
@@ -29,6 +33,8 @@ from tensorlogic.theory import (
     balance_feasible,
     encode_conversion,
 )
+
+from helpers import random_proof, random_term
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -83,7 +89,7 @@ def test_shipped_theories_load():
         ("theories/cloning.thy", "C |- C * C", "provable"),
         ("theories/locc.thy", "E * Q_A |- Q_B", "provable"),
         ("theories/locc-weak.thy", "E * Q_A |- Q_B", "provable"),
-        ("theories/locc-weak.thy", "E |- Q_A * Q_B", "unknown"),
+        ("theories/locc-weak.thy", "E |- Q_A * Q_B", "not-provable"),
         ("theories/coherence.thy", "Q(1) |- Q(0.5)", "provable"),
         ("theories/coherence.thy", "Q(0.5) |- 1", "provable"),
         ("theories/coherence.thy", "1 |- Q(1)", "not-provable"),
@@ -107,11 +113,50 @@ def test_balance_feasibility():
         ("coherence", "Q(1) |- Q(0.5)", True),
         ("locc", "E * Q_A |- Q_B", True),
         ("locc", "E |- E * E", False),
-        ("locc-weak", "E |- Q_A * Q_B", False),  # decide_in_theory still says unknown
+        ("locc-weak", "E |- Q_A * Q_B", False),  # so decide_in_theory says not-provable
     ]
     for name, inference, feasible in cases:
         th = load_theory(f"theories/{name}.thy")
         assert balance_feasible(th, parse_inference(inference)) is feasible, (name, inference)
+
+
+def _leaf_columns(proof) -> Counter:
+    """The sum of the balance columns of a proof's axiom leaves."""
+    total: Counter = Counter()
+    stack = [proof]
+    while stack:
+        p = stack.pop()
+        stack.extend(p.premises)
+        rule = p.rule
+        if isinstance(rule, RAxiom):
+            total.update(atom_vector(rule.term))
+        elif isinstance(rule, LAxiom):
+            total.subtract(atom_vector(rule.term))
+        elif isinstance(rule, ConvAxiom):
+            total.update(atom_vector(rule.target))
+            total.subtract(atom_vector(rule.source))
+    return total
+
+
+@given(seeds, st.sampled_from([Mode.T, Mode.TPRIME]))
+@settings(max_examples=150, deadline=None)
+def test_balance_is_the_sum_of_leaf_columns(seed, mode):
+    """The invariant behind ``not-provable``: a checked proof's conclusion has
+    the balance (consequent atoms minus antecedent atoms) of its axiom leaves,
+    so an inference whose balance equation is infeasible has no proof."""
+    rng = random.Random(seed)
+
+    def terms(k):
+        return [random_term(rng, depth=1) for _ in range(rng.randrange(k))]
+
+    theory = make_theory("ABC", terms(3), terms(3), list(zip(terms(3), terms(3))))
+    proof = random_proof(rng, mode, steps=rng.randrange(4, 14), theory=theory)
+    conclusion = check(proof, mode, theory)
+    balance = Counter(atom_vector(conclusion.consequent))
+    balance.subtract(atom_vector(conclusion.antecedent))
+    columns = _leaf_columns(proof)
+    assert {k: v for k, v in balance.items() if v} == {k: v for k, v in columns.items() if v}
+    assert balance_feasible(theory, conclusion)
 
 
 def _system(matrix, b):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorlogic import (
+    Atom,
+    Inference,
     Mode,
     TRANSFORMS,
     TransformMismatch,
@@ -14,6 +16,8 @@ from tensorlogic import (
     eliminate_cuts,
     parse_proof,
     proofs_equivalent,
+    synthesize_proof,
+    tensor_of,
 )
 from helpers import random_proof, transform_instance
 
@@ -125,6 +129,13 @@ def test_equivalence_depends_only_on_conclusion(seed, mode):
     p2 = random_proof(rng, mode)
     same_conclusion = check(p1, mode) == check(p2, mode)
     assert proofs_equivalent(p1, p2, mode) == same_conclusion
+
+
+@pytest.mark.parametrize("mode", [Mode.T, Mode.TPRIME])
+def test_proofs_equivalent_on_deep_combs(mode):
+    comb = tensor_of(Atom(f"X{i}") for i in range(200))
+    proof = synthesize_proof(Inference((comb,), comb), mode)
+    assert proofs_equivalent(proof, proof, mode)
 
 
 @given(seeds, modes_st)
