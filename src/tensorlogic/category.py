@@ -26,6 +26,7 @@ from .kernel import (
     check,
     cut_proofs,
     identity_proof,
+    rule_conclusion,
     tensor_proofs,
 )
 from .terms import UNIT, Inference, Tensor, Term, render_term, tensor_of
@@ -62,22 +63,41 @@ def identity(a: Term, mode: Mode) -> Morphism:
     return morphism_of(identity_proof(a, mode), mode)
 
 
+def _endpoints(f: Morphism) -> Inference:
+    """The conclusion ``source |- target`` that ``f.proof`` is known to have."""
+    return Inference((f.source,), f.target)
+
+
+def _morphism(proof: Proof, conclusion: Inference, mode: Mode) -> Morphism:
+    """The morphism of ``proof`` whose one-item ``conclusion`` is known."""
+    (source,) = conclusion.antecedent
+    return Morphism(source, conclusion.consequent, mode, proof)
+
+
 def compose(f: Morphism, g: Morphism) -> Morphism:
-    """Diagrammatic composition: ``f`` then ``g``."""
+    """Diagrammatic composition: ``f`` then ``g``.
+
+    Only the new ``Cut`` node is checked, against the operands' endpoints,
+    so a call costs O(1) however long the chain behind it.
+    """
     if f.mode is not g.mode:
         raise ValueError("cannot compose morphisms from different modes")
     if f.target != g.source:
         raise ValueError(
             f"cannot compose: {render_term(f.target)} does not match {render_term(g.source)}"
         )
-    return morphism_of(cut_proofs(f.proof, g.proof, 0, f.mode, 1), f.mode)
+    proof = cut_proofs(f.proof, g.proof, 0, f.mode, 1)
+    return _morphism(proof, rule_conclusion(proof.rule, [_endpoints(f), _endpoints(g)], f.mode), f.mode)
 
 
 def boxtimes(f: Morphism, g: Morphism) -> Morphism:
-    """The monoidal product of morphisms."""
+    """The monoidal product of morphisms: ``RTensor`` then ``LTensor(0)``,
+    each checked against the operands' endpoints only."""
     if f.mode is not g.mode:
         raise ValueError("cannot tensor morphisms from different modes")
-    return morphism_of(tensor_proofs(f.proof, g.proof), f.mode)
+    proof = tensor_proofs(f.proof, g.proof)
+    pair = rule_conclusion(proof.premises[0].rule, [_endpoints(f), _endpoints(g)], f.mode)
+    return _morphism(proof, rule_conclusion(proof.rule, [pair], f.mode), f.mode)
 
 
 def hom_size(a: Term, b: Term, mode: Mode) -> int:

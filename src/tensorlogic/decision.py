@@ -5,7 +5,9 @@
 ``tprime`` iff they carry the same left-to-right atom list (units ignored in
 both).  ``synthesize_proof`` constructs a canonical cut-free witness for the
 positive case.  ``bounded_search`` is an independent exhaustive backward
-search used to cross-validate the criterion.
+search used to cross-validate the criterion.  Without a theory it prunes by a
+name-free invariant only: every checked proof has as many atom occurrences in
+its antecedent as in its consequent.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import enum
 import sys
 from collections import Counter
+from itertools import accumulate
 from dataclasses import dataclass
 
 from .kernel import (
@@ -138,13 +141,27 @@ def _subterms(term: Term, acc: set[Term]) -> None:
 _Goal = tuple[tuple[Term, ...], Term]
 
 
+def _occurrences(term: Term) -> int:
+    return len(atom_list(term))
+
+
 class Prover:
     """Exhaustive backward proof search with memoised subgoals.
 
-    The search is independent of the normal-form criterion: no atom-counting
-    pruning is used, only an exact structural lower bound on cut-free proof
-    sizes.  With a theory, Cut is searched with cut terms drawn from goal
-    subterms and axiom terms; without one, cut-free search is complete.
+    The search stays independent of the normal-form criterion: it never
+    compares atom names.  It uses an exact structural lower bound on cut-free
+    proof sizes and, without a theory, the name-free invariant "atom
+    occurrences in the antecedent = atom occurrences in the consequent".
+    Every rule keeps that invariant: ``Id`` is 1 = 1 and ``RUnit`` 0 = 0, the
+    left rules and Exchange leave the counts alone, ``RTensor`` adds its
+    premises' counts, and ``Cut`` gives |Delta| - |B| + |Gamma| = |C| when
+    |Gamma| = |B|.  So a goal that breaks it fails at once, and a tensor
+    split or cut span is tried only when its counts match.  Axiom leaves
+    break the invariant, so a theory switches this prune off.  The prune
+    only drops goals that have no proof and keeps the surviving splits in
+    their order, so the search finds the same proof as without it.  With a
+    theory, Cut is searched with cut terms drawn from goal subterms and axiom
+    terms; without one, cut-free search is complete.
     """
 
     def __init__(self, mode: Mode, theory=None, allow_cut: bool | None = None):
@@ -174,12 +191,9 @@ class Prover:
             sys.setrecursionlimit(limit)
         return SearchResult(proof is not None, proof)
 
-    def _lower_bound(self, goal: _Goal) -> int:
+    def _lower_bound(self, goal: _Goal, counts: list[int]) -> int:
         ant, cons = goal
-        lb = term_size(cons)
-        for item in ant:
-            lb += term_size(item) - len(atom_list(item))
-        return lb
+        return term_size(cons) + sum(term_size(item) for item in ant) - sum(counts)
 
     def _cut_terms(self, goal: _Goal) -> list[Term]:
         acc: set[Term] = {UNIT}
@@ -215,12 +229,34 @@ class Prover:
         return chain
 
     @staticmethod
-    def _selections(n: int):
-        """All ways to pick a subset of positions, preserving relative order."""
-        for mask in range(1 << n):
-            inside = [p for p in range(n) if mask >> p & 1]
-            outside = [p for p in range(n) if not mask >> p & 1]
-            yield inside, outside
+    def _selections(counts: list[int], total: int | None = None) -> list[tuple[list[int], list[int]]]:
+        """Order-preserving subsets of positions as ``(inside, outside)``
+        lists, in increasing bitmask order (bit ``p`` set: ``p`` is inside).
+
+        With ``total``, only the subsets whose ``counts`` sum to ``total``.
+        Bits are fixed from the highest down, outside before inside, which
+        is the bitmask order; a running sum cuts every branch that can no
+        longer reach ``total``, so the other subsets are never built.
+        """
+        below = [0, *accumulate(counts)]  # below[p]: the most positions under p add
+        inside: list[int] = []
+        outside: list[int] = []
+        out: list[tuple[list[int], list[int]]] = []
+
+        def walk(p: int, need: int) -> None:
+            if p == 0:
+                out.append((inside[::-1], outside[::-1]))
+                return
+            p -= 1
+            for chosen, rest in ((outside, need), (inside, need - counts[p])):
+                if total is None or 0 <= rest <= below[p]:
+                    chosen.append(p)
+                    walk(p, rest)
+                    chosen.pop()
+
+        if total is None or 0 <= total <= below[-1]:
+            walk(len(counts), total or 0)
+        return out
 
     def _search(self, goal: _Goal, cap: int) -> Proof | None:
         """Minimal proof of ``goal`` within ``cap`` nodes, or ``None``.
@@ -238,11 +274,14 @@ class Prover:
                 return cached[2] if cached[1] <= cap else None
             if cached[1] >= cap:
                 return None
-        if not self.allow_cut and self._lower_bound(goal) > cap:
+        ant, cons = goal
+        counts = [_occurrences(item) for item in ant]
+        if (self.theory is None and sum(counts) != _occurrences(cons)) or (
+            not self.allow_cut and self._lower_bound(goal, counts) > cap
+        ):
             self.memo[goal] = ("failed", max(cap, cached[1] if cached else 0))
             return None
 
-        ant, cons = goal
         n = len(ant)
         best: Proof | None = None
 
@@ -284,21 +323,23 @@ class Prover:
                 if sub is not None:
                     consider(Proof(LTensor(pos), (sub,)))
         if isinstance(cons, Tensor):
-            for left_pos, right_pos in self._splits(ant):
-                chain = self._block_move_chain(left_pos + right_pos)
-                if budget() < 2 + len(chain):
+            for left_pos, right_pos in self._splits(counts, cons.left):
+                # the Exchange chain: one rotation per left item after right_pos[0]
+                moves = sum(p > right_pos[0] for p in left_pos) if right_pos else 0
+                if budget() < 2 + moves:
                     continue
-                m1 = self._search((tuple(ant[p] for p in left_pos), cons.left), budget() - 2 - len(chain))
+                m1 = self._search((tuple(ant[p] for p in left_pos), cons.left), budget() - 2 - moves)
                 if m1 is None:
                     continue
                 m2 = self._search(
                     (tuple(ant[p] for p in right_pos), cons.right),
-                    budget() - 1 - len(chain) - m1.size(),
+                    budget() - 1 - moves - m1.size(),
                 )
                 if m2 is not None:
+                    chain = self._block_move_chain(left_pos + right_pos)
                     consider(wrap(Proof(RTensor(), (m1, m2)), chain))
         if self.allow_cut:
-            self._search_cuts(goal, budget, consider, wrap)
+            self._search_cuts(goal, counts, budget, consider, wrap)
 
         if best is not None:
             self.memo[goal] = ("proved", best.size(), best)
@@ -306,21 +347,39 @@ class Prover:
             self.memo[goal] = ("failed", max(cap, cached[1] if cached else 0))
         return best
 
-    def _splits(self, ant: tuple[Term, ...]):
-        """Premise splits of the antecedent: contiguous in ``tprime``, any
-        order-preserving subset in ``t``."""
-        n = len(ant)
+    def _splits(self, counts: list[int], left: Term) -> list[tuple[list[int], list[int]]]:
+        """Premise splits ``(left_pos, right_pos)`` of an antecedent whose
+        items carry ``counts`` atom occurrences, for a consequent whose left
+        factor is ``left``: contiguous in ``tprime``, any order-preserving
+        subset in ``t`` in increasing bitmask order.  Without a theory only
+        the splits whose left part carries as many occurrences as ``left``."""
+        total = None if self.theory is not None else _occurrences(left)
         if self.mode is Mode.T:
-            yield from self._selections(n)
-        else:
-            for split in range(n + 1):
-                yield list(range(split)), list(range(split, n))
+            return self._selections(counts, total)
+        n = len(counts)
+        prefix = [0, *accumulate(counts)]
+        return [
+            (list(range(split)), list(range(split, n)))
+            for split in range(n + 1)
+            if total is None or prefix[split] == total
+        ]
 
-    def _search_cuts(self, goal: _Goal, budget, consider, wrap) -> None:
+    def _search_cuts(self, goal: _Goal, counts: list[int], budget, consider, wrap) -> None:
         ant, cons = goal
         n = len(ant)
         candidates = self._cut_terms(goal)
-        for gamma_pos, delta_pos, lo in self._cut_spans(n):
+        if self.theory is None:
+            # gamma |- b needs as many atom occurrences on each side
+            by_count: dict[int, list[Term]] = {}
+            for b in candidates:
+                by_count.setdefault(_occurrences(b), []).append(b)
+        for gamma_pos, delta_pos, lo in self._cut_spans(counts):
+            if self.theory is None:
+                fits = by_count.get(sum(counts[p] for p in gamma_pos), [])
+            else:
+                fits = candidates
+            if not fits:
+                continue
             gamma = tuple(ant[p] for p in gamma_pos)
             delta = tuple(ant[p] for p in delta_pos)
             if self.mode is Mode.T:
@@ -328,7 +387,7 @@ class Prover:
                 chain = self._block_move_chain(delta_pos + gamma_pos)
             else:
                 chain = []
-            for b in candidates:
+            for b in fits:
                 if gamma == (b,):
                     continue  # cutting an item against itself loops
                 if budget() < 2 + len(chain):
@@ -345,12 +404,13 @@ class Prover:
                 else:
                     consider(Proof(Cut(lo), (m1, m2)))
 
-    def _cut_spans(self, n: int):
+    def _cut_spans(self, counts: list[int]):
         """Cut antecedent selections with the insertion index for the cut term:
         any order-preserving subset in ``t`` (index ``None`` marks last
         position), contiguous blocks in ``tprime``."""
+        n = len(counts)
         if self.mode is Mode.T:
-            for inside, outside in self._selections(n):
+            for inside, outside in self._selections(counts):
                 yield inside, outside, None
         else:
             for lo in range(n + 1):

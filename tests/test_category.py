@@ -63,6 +63,31 @@ def test_compose_rejects_mismatched_objects():
         compose(identity(A, Mode.T), identity(B, Mode.T))
     with pytest.raises(ValueError):
         compose(identity(A, Mode.T), identity(A, Mode.TPRIME))
+    sigma = symmetry(A, B, Mode.T)
+    with pytest.raises(ValueError):
+        compose(sigma, sigma)  # B * A is not A * B
+    with pytest.raises(ValueError):
+        compose(boxtimes(sigma, identity(C, Mode.T)), sigma)
+    with pytest.raises(ValueError):
+        boxtimes(identity(A, Mode.T), identity(A, Mode.TPRIME))
+
+
+def test_long_composition_chains():
+    """``compose`` checks only its new node, so a call costs O(1)."""
+    legs = (symmetry(A, B, Mode.T), symmetry(B, A, Mode.T))
+    ab = identity(Tensor(A, B), Mode.T)
+    f = ab
+    for i in range(10_000):
+        f = compose(f, legs[i % 2])
+    assert f == ab
+    for mode in (Mode.T, Mode.TPRIME):
+        alpha = associator(A, B, C, mode)
+        f = identity(alpha.source, mode)
+        for k in range(6):
+            f = compose(f, alpha if k % 2 == 0 else inverse(alpha))
+            g = boxtimes(f, identity(D, mode))
+            for h in (f, g):
+                assert check(h.proof, mode) == Inference((h.source,), h.target)
 
 
 def test_structural_morphisms_shapes():

@@ -12,11 +12,14 @@ from tensorlogic import (
     Prover,
     bounded_search,
     check,
+    cut_proofs,
     decide,
+    identity_proof,
     is_provable,
     parse_inference,
     synthesize_proof,
 )
+from tensorlogic.kernel import Cut, render_proof
 from tensorlogic.terms import Tensor, atom_list, atom_vector, tensor_of, term_size
 
 from helpers import random_balanced_inference, random_inference, random_proof
@@ -130,13 +133,70 @@ def test_bounded_search_agrees_with_decide(seed, mode):
 
 
 @given(seeds, modes_st)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_search_finds_minimal_or_none(seed, mode):
-    inf = random_balanced_inference(random.Random(seed), max_items=2)
+    # up to 9 atoms in up to 10 items
+    inf = random_balanced_inference(random.Random(seed), max_items=5)
     result = bounded_search(inf, mode, 400)
+    assert result.found == (decide(inf, mode) is Decision.PROVABLE)
     if result.found:
+        assert check(result.proof, mode) == inf
         # the canonical proof is an upper bound for the minimal proof
         assert result.proof.size() <= synthesize_proof(inf, mode).size()
+
+
+@given(seeds, modes_st)
+@settings(max_examples=100, deadline=None)
+def test_theory_free_proofs_balance_occurrences(seed, mode):
+    """The invariant the search prunes by: without axiom leaves, every checked
+    conclusion has as many atom occurrences on each side, cuts included."""
+    rng = random.Random(seed)
+    proof = random_proof(rng, mode, steps=rng.randrange(1, 16))
+    conc = check(proof, mode)
+    # cut the proof into an identity, so that every example holds a cut
+    cut = cut_proofs(proof, identity_proof(conc.consequent, mode), 0, mode, 1)
+    assert isinstance(cut.rule, Cut)
+    for p in (proof, cut):
+        c = check(p, mode)
+        assert sum(len(atom_list(item)) for item in c.antecedent) == len(atom_list(c.consequent))
+
+
+def _reversal(n: int) -> Inference:
+    atoms = [Atom(f"R{i}") for i in range(n)]
+    return Inference(tuple(atoms), tensor_of(atoms[::-1]))
+
+
+@pytest.mark.parametrize("n,size,max_goals", [(10, 64, 1_500), (12, 89, None)])
+def test_search_scales_on_mode_t_reversal(n, size, max_goals):
+    # a minimal proof has n Id leaves, n - 1 RTensor nodes and n(n-1)/2 Exchanges
+    prover = Prover(Mode.T)
+    result = prover.prove(_reversal(n), 2000)
+    assert result.found and result.proof.size() == size
+    assert check(result.proof, Mode.T) == _reversal(n)
+    if max_goals is not None:
+        assert len(prover.memo) < max_goals
+
+
+@pytest.mark.parametrize(
+    "text,rendered",
+    [
+        (
+            "B, A, A, C, B, C |- (A * C) * ((B * A) * (C * B))",
+            "(ex 0 1 2 (ex 1 2 6 (rx (rx (id A) (id C)) (rx (rx (id B) (id A)) (rx (id C) (id B))))))",
+        ),
+        (
+            "B * A, 1, A, C * B, C |- (C * A) * ((B * 1) * (A * (C * B)))",
+            "(l1 1 (lx 0 (lx 3 (ex 0 1 2 (ex 1 2 6 (rx (ex 0 1 2 (rx (id C) (id A)))"
+            " (rx (rx (id B) (r1)) (rx (id A) (rx (id C) (id B))))))))))",
+        ),
+    ],
+)
+def test_search_order_is_pinned(text, rendered):
+    """The search returns this exact proof, not just one of the same size.
+
+    Repeated atoms give several minimal proofs, and the split order picks
+    one; the strings were recorded before the occurrence-count prune."""
+    assert render_proof(bounded_search(parse_inference(text), Mode.T, 2000).proof) == rendered
 
 
 def test_prover_memo_reuse():
