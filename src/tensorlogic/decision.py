@@ -155,13 +155,14 @@ class Prover:
     Every rule keeps that invariant: ``Id`` is 1 = 1 and ``RUnit`` 0 = 0, the
     left rules and Exchange leave the counts alone, ``RTensor`` adds its
     premises' counts, and ``Cut`` gives |Delta| - |B| + |Gamma| = |C| when
-    |Gamma| = |B|.  So a goal that breaks it fails at once, and a tensor
-    split or cut span is tried only when its counts match.  Axiom leaves
-    break the invariant, so a theory switches this prune off.  The prune
-    only drops goals that have no proof and keeps the surviving splits in
-    their order, so the search finds the same proof as without it.  With a
-    theory, Cut is searched with cut terms drawn from goal subterms and axiom
-    terms; without one, cut-free search is complete.
+    |Gamma| = |B|.  So a goal that breaks it fails at once (a cut premise
+    ``gamma |- b`` among them), and a tensor split is generated only when
+    its counts match.  Axiom leaves break the invariant, so a theory
+    switches this prune off.  The prune only drops goals that have no proof
+    and keeps the surviving splits in their order, so the search finds the
+    same proof as without it.  With a theory, Cut is searched with cut terms
+    drawn from goal subterms and axiom terms; without one, cut-free search
+    is complete.
     """
 
     def __init__(self, mode: Mode, theory=None, allow_cut: bool | None = None):
@@ -366,20 +367,8 @@ class Prover:
 
     def _search_cuts(self, goal: _Goal, counts: list[int], budget, consider, wrap) -> None:
         ant, cons = goal
-        n = len(ant)
         candidates = self._cut_terms(goal)
-        if self.theory is None:
-            # gamma |- b needs as many atom occurrences on each side
-            by_count: dict[int, list[Term]] = {}
-            for b in candidates:
-                by_count.setdefault(_occurrences(b), []).append(b)
         for gamma_pos, delta_pos, lo in self._cut_spans(counts):
-            if self.theory is None:
-                fits = by_count.get(sum(counts[p] for p in gamma_pos), [])
-            else:
-                fits = candidates
-            if not fits:
-                continue
             gamma = tuple(ant[p] for p in gamma_pos)
             delta = tuple(ant[p] for p in delta_pos)
             if self.mode is Mode.T:
@@ -387,7 +376,7 @@ class Prover:
                 chain = self._block_move_chain(delta_pos + gamma_pos)
             else:
                 chain = []
-            for b in fits:
+            for b in candidates:
                 if gamma == (b,):
                     continue  # cutting an item against itself loops
                 if budget() < 2 + len(chain):

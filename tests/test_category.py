@@ -73,7 +73,7 @@ def test_compose_rejects_mismatched_objects():
 
 
 def test_long_composition_chains():
-    """``compose`` checks only its new node, so a call costs O(1)."""
+    """``compose`` re-checks nothing, so a call costs O(1)."""
     legs = (symmetry(A, B, Mode.T), symmetry(B, A, Mode.T))
     ab = identity(Tensor(A, B), Mode.T)
     f = ab
