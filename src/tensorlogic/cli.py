@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 provable / valid / all diagrams hold, 1 not provable / invalid,
-2 unknown (search or cap exhausted), 3 input error.
+2 unknown (search or cap exhausted), 3 input error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,6 +257,12 @@ def main(argv: list[str] | None = None) -> int:
     except ProofError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO
+    except Exception as exc:  # a fault in tensorlogic, not an answer
+        import traceback  # only here: it adds about 4 ms to every start-up
+
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -139,10 +139,8 @@ def _subterms(term: Term, acc: set[Term]) -> None:
 
 
 _Goal = tuple[tuple[Term, ...], Term]
-
-
-def _occurrences(term: Term) -> int:
-    return len(atom_list(term))
+# a cut span: (gamma_pos, delta_pos, lo, moves); see Prover._cut_spans
+_Span = tuple[list[int], list[int], int | None, int]
 
 
 class Prover:
@@ -163,14 +161,31 @@ class Prover:
     same proof as without it.  With a theory, Cut is searched with cut terms
     drawn from goal subterms and axiom terms; without one, cut-free search
     is complete.
+
+    Cut search deepens its cap one node at a time, so every goal is visited
+    again at each cap.  What does not change between visits is kept on the
+    instance and lives as long as the ``Prover``:
+
+    - ``memo``: goal -> ``("proved", size, proof)`` or ``("failed", cap)``;
+    - ``_occ``: term -> its atom-occurrence count;
+    - ``_axiom_terms``: ``1`` and the subterms of the theory's axioms, the
+      cut terms that every goal shares, built once;
+    - ``_candidates``: goal -> its sorted cut terms;
+    - ``_spans``: antecedent length -> its cut spans.
     """
 
     def __init__(self, mode: Mode, theory=None, allow_cut: bool | None = None):
         self.mode = mode
         self.theory = theory
         self.allow_cut = (theory is not None) if allow_cut is None else allow_cut
-        # goal -> ("proved", size, proof) | ("failed", explored_cap)
         self.memo: dict[_Goal, tuple] = {}
+        self._occ: dict[Term, int] = {}
+        self._axiom_terms: set[Term] = {UNIT}
+        if theory is not None:
+            for x in (*theory.available, *theory.disposable, *(t for conv in theory.conversions for t in conv)):
+                _subterms(x, self._axiom_terms)
+        self._candidates: dict[_Goal, list[Term]] = {}
+        self._spans: dict[int, list[_Span]] = {}
 
     def prove(self, inference: Inference, max_nodes: int) -> SearchResult:
         # cut search nests at most one level per budgeted node
@@ -181,35 +196,38 @@ class Prover:
             if self.allow_cut:
                 # cuts may grow the goal, so deepen the cap gradually to keep
                 # the explored tree close to the size of the smallest proof
-                proof = None
+                found = None
                 for cap in range(1, max_nodes + 1):
-                    proof = self._search(goal, cap)
-                    if proof is not None:
+                    found = self._search(goal, cap)
+                    if found is not None:
                         break
             else:
-                proof = self._search(goal, max_nodes)
+                found = self._search(goal, max_nodes)
         finally:
             sys.setrecursionlimit(limit)
-        return SearchResult(proof is not None, proof)
+        return SearchResult(True, found[0]) if found is not None else SearchResult(False)
+
+    def _occurrences(self, term: Term) -> int:
+        count = self._occ.get(term)
+        if count is None:
+            count = self._occ[term] = len(atom_list(term))
+        return count
 
     def _lower_bound(self, goal: _Goal, counts: list[int]) -> int:
         ant, cons = goal
         return term_size(cons) + sum(term_size(item) for item in ant) - sum(counts)
 
     def _cut_terms(self, goal: _Goal) -> list[Term]:
-        acc: set[Term] = {UNIT}
-        for item in goal[0]:
-            _subterms(item, acc)
-        _subterms(goal[1], acc)
-        if self.theory is not None:
-            for x in self.theory.available:
-                _subterms(x, acc)
-            for y in self.theory.disposable:
-                _subterms(y, acc)
-            for a, b in self.theory.conversions:
-                _subterms(a, acc)
-                _subterms(b, acc)
-        return sorted(acc, key=lambda t: (term_size(t), str(t)))
+        """``1`` and the subterms of the goal and of the theory's axioms, by
+        size and then by text."""
+        terms = self._candidates.get(goal)
+        if terms is None:
+            acc = set(self._axiom_terms)
+            for item in goal[0]:
+                _subterms(item, acc)
+            _subterms(goal[1], acc)
+            terms = self._candidates[goal] = sorted(acc, key=lambda t: (term_size(t), str(t)))
+        return terms
 
     @staticmethod
     def _block_move_chain(perm: list[int]) -> list[Exchange]:
@@ -228,6 +246,13 @@ class Prover:
                 chain.append(Exchange(i, i + 1, p + 1))
                 work[i : p + 1] = [work[p]] + work[i:p]
         return chain
+
+    @staticmethod
+    def _chain_length(first: list[int], second: list[int]) -> int:
+        """``len(_block_move_chain(first + second))`` for two increasing,
+        disjoint position lists: one rotation per item of ``first`` after
+        ``second[0]``."""
+        return sum(p > second[0] for p in first) if second else 0
 
     @staticmethod
     def _selections(counts: list[int], total: int | None = None) -> list[tuple[list[int], list[int]]]:
@@ -259,8 +284,9 @@ class Prover:
             walk(len(counts), total or 0)
         return out
 
-    def _search(self, goal: _Goal, cap: int) -> Proof | None:
-        """Minimal proof of ``goal`` within ``cap`` nodes, or ``None``.
+    def _search(self, goal: _Goal, cap: int) -> tuple[Proof, int] | None:
+        """A minimal proof of ``goal`` within ``cap`` nodes and its size, or
+        ``None``.
 
         In mode ``t``, premises of right-tensor and cut steps take arbitrary
         sub-antecedents (not just contiguous splits); the proof is completed by
@@ -272,27 +298,29 @@ class Prover:
         cached = self.memo.get(goal)
         if cached is not None:
             if cached[0] == "proved":
-                return cached[2] if cached[1] <= cap else None
+                return (cached[2], cached[1]) if cached[1] <= cap else None
             if cached[1] >= cap:
                 return None
         ant, cons = goal
-        counts = [_occurrences(item) for item in ant]
-        if (self.theory is None and sum(counts) != _occurrences(cons)) or (
+        counts = [self._occurrences(item) for item in ant]
+        if (self.theory is None and sum(counts) != self._occurrences(cons)) or (
             not self.allow_cut and self._lower_bound(goal, counts) > cap
         ):
             self.memo[goal] = ("failed", max(cap, cached[1] if cached else 0))
             return None
 
         n = len(ant)
+        # every candidate is built within budget(), so a first one always fits
         best: Proof | None = None
+        best_size = cap + 1
 
-        def consider(p: Proof | None) -> None:
-            nonlocal best
-            if p is not None and (best is None or p.size() < best.size()):
-                best = p
+        def consider(p: Proof, size: int) -> None:
+            nonlocal best, best_size
+            if size < best_size:
+                best, best_size = p, size
 
         def budget() -> int:
-            return cap if best is None else best.size() - 1
+            return best_size - 1
 
         def wrap(sub: Proof, chain: list[Exchange]) -> Proof:
             for rule in reversed(chain):
@@ -300,53 +328,49 @@ class Prover:
             return sub
 
         if isinstance(cons, Atom) and ant == (cons,):
-            consider(Proof(Id(cons)))
+            consider(Proof(Id(cons)), 1)
         if cons == UNIT and n == 0:
-            consider(Proof(RUnit()))
+            consider(Proof(RUnit()), 1)
         if self.theory is not None:
             if n == 0 and self.theory.is_available(cons):
-                consider(Proof(RAxiom(cons)))
+                consider(Proof(RAxiom(cons)), 1)
             if cons == UNIT and n == 1 and self.theory.is_disposable(ant[0]):
-                consider(Proof(LAxiom(ant[0])))
+                consider(Proof(LAxiom(ant[0])), 1)
             if n == 1 and self.theory.is_conversion(ant[0], cons):
-                consider(Proof(ConvAxiom(ant[0], cons)))
+                consider(Proof(ConvAxiom(ant[0], cons)), 1)
 
         for pos in range(n):
             if ant[pos] == UNIT:
-                sub = self._search((ant[:pos] + ant[pos + 1 :], cons), budget() - 1)
-                if sub is not None:
-                    consider(Proof(LUnit(pos), (sub,)))
+                found = self._search((ant[:pos] + ant[pos + 1 :], cons), budget() - 1)
+                if found is not None:
+                    consider(Proof(LUnit(pos), (found[0],)), found[1] + 1)
         for pos in range(n):
             item = ant[pos]
             if isinstance(item, Tensor):
                 pre = ant[:pos] + (item.left, item.right) + ant[pos + 1 :]
-                sub = self._search((pre, cons), budget() - 1)
-                if sub is not None:
-                    consider(Proof(LTensor(pos), (sub,)))
+                found = self._search((pre, cons), budget() - 1)
+                if found is not None:
+                    consider(Proof(LTensor(pos), (found[0],)), found[1] + 1)
         if isinstance(cons, Tensor):
             for left_pos, right_pos in self._splits(counts, cons.left):
-                # the Exchange chain: one rotation per left item after right_pos[0]
-                moves = sum(p > right_pos[0] for p in left_pos) if right_pos else 0
+                moves = self._chain_length(left_pos, right_pos)
                 if budget() < 2 + moves:
                     continue
                 m1 = self._search((tuple(ant[p] for p in left_pos), cons.left), budget() - 2 - moves)
                 if m1 is None:
                     continue
-                m2 = self._search(
-                    (tuple(ant[p] for p in right_pos), cons.right),
-                    budget() - 1 - moves - m1.size(),
-                )
+                m2 = self._search((tuple(ant[p] for p in right_pos), cons.right), budget() - 1 - moves - m1[1])
                 if m2 is not None:
                     chain = self._block_move_chain(left_pos + right_pos)
-                    consider(wrap(Proof(RTensor(), (m1, m2)), chain))
+                    consider(wrap(Proof(RTensor(), (m1[0], m2[0])), chain), 1 + m1[1] + m2[1] + moves)
         if self.allow_cut:
             self._search_cuts(goal, counts, budget, consider, wrap)
 
         if best is not None:
-            self.memo[goal] = ("proved", best.size(), best)
-        else:
-            self.memo[goal] = ("failed", max(cap, cached[1] if cached else 0))
-        return best
+            self.memo[goal] = ("proved", best_size, best)
+            return best, best_size
+        self.memo[goal] = ("failed", max(cap, cached[1] if cached else 0))
+        return None
 
     def _splits(self, counts: list[int], left: Term) -> list[tuple[list[int], list[int]]]:
         """Premise splits ``(left_pos, right_pos)`` of an antecedent whose
@@ -354,7 +378,7 @@ class Prover:
         factor is ``left``: contiguous in ``tprime``, any order-preserving
         subset in ``t`` in increasing bitmask order.  Without a theory only
         the splits whose left part carries as many occurrences as ``left``."""
-        total = None if self.theory is not None else _occurrences(left)
+        total = None if self.theory is not None else self._occurrences(left)
         if self.mode is Mode.T:
             return self._selections(counts, total)
         n = len(counts)
@@ -368,43 +392,49 @@ class Prover:
     def _search_cuts(self, goal: _Goal, counts: list[int], budget, consider, wrap) -> None:
         ant, cons = goal
         candidates = self._cut_terms(goal)
-        for gamma_pos, delta_pos, lo in self._cut_spans(counts):
+        for gamma_pos, delta_pos, lo, moves in self._cut_spans(counts):
             gamma = tuple(ant[p] for p in gamma_pos)
             delta = tuple(ant[p] for p in delta_pos)
-            if self.mode is Mode.T:
-                # the raw cut concludes delta followed by gamma
-                chain = self._block_move_chain(delta_pos + gamma_pos)
-            else:
-                chain = []
             for b in candidates:
                 if gamma == (b,):
                     continue  # cutting an item against itself loops
-                if budget() < 2 + len(chain):
+                if budget() < 2 + moves:
                     break
-                m1 = self._search((gamma, b), budget() - 2 - len(chain))
+                m1 = self._search((gamma, b), budget() - 2 - moves)
                 if m1 is None:
                     continue
                 pre2 = delta + (b,) if lo is None else delta[:lo] + (b,) + delta[lo:]
-                m2 = self._search((pre2, cons), budget() - 1 - len(chain) - m1.size())
+                m2 = self._search((pre2, cons), budget() - 1 - moves - m1[1])
                 if m2 is None:
                     continue
+                cut = Proof(Cut(lo), (m1[0], m2[0]))
                 if lo is None:
-                    consider(wrap(Proof(Cut(None), (m1, m2)), chain))
-                else:
-                    consider(Proof(Cut(lo), (m1, m2)))
+                    # the raw cut concludes delta followed by gamma
+                    cut = wrap(cut, self._block_move_chain(delta_pos + gamma_pos))
+                consider(cut, 1 + m1[1] + m2[1] + moves)
 
-    def _cut_spans(self, counts: list[int]):
-        """Cut antecedent selections with the insertion index for the cut term:
-        any order-preserving subset in ``t`` (index ``None`` marks last
-        position), contiguous blocks in ``tprime``."""
+    def _cut_spans(self, counts: list[int]) -> list[_Span]:
+        """Cut antecedent selections ``(gamma_pos, delta_pos, lo, moves)``,
+        which depend only on the antecedent's length: any order-preserving
+        subset in ``t``, where the cut term goes last (``lo`` is ``None``)
+        and ``moves`` Exchange steps restore the order; contiguous blocks in
+        ``tprime``, where the cut term goes in at ``lo`` and ``moves`` is 0."""
         n = len(counts)
-        if self.mode is Mode.T:
-            for inside, outside in self._selections(counts):
-                yield inside, outside, None
-        else:
-            for lo in range(n + 1):
-                for hi in range(lo, n + 1):
-                    yield list(range(lo, hi)), list(range(lo)) + list(range(hi, n)), lo
+        spans = self._spans.get(n)
+        if spans is None:
+            if self.mode is Mode.T:
+                spans = [
+                    (inside, outside, None, self._chain_length(outside, inside))
+                    for inside, outside in self._selections(counts)
+                ]
+            else:
+                spans = [
+                    (list(range(lo, hi)), list(range(lo)) + list(range(hi, n)), lo, 0)
+                    for lo in range(n + 1)
+                    for hi in range(lo, n + 1)
+                ]
+            self._spans[n] = spans
+        return spans
 
 
 def bounded_search(

@@ -40,8 +40,35 @@ class Unit:
 
 @dataclass(frozen=True)
 class Tensor:
+    """``left * right``.  Its hash is computed on first use and kept, from
+    its children's kept hashes, so hashing never recurses and a term of any
+    depth is a cheap dict key; ``==`` is still the dataclass's recursive
+    comparison."""
+
     left: "Term"
     right: "Term"
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            pass
+        # hash the subterms that have no hash yet, children first
+        stack = [self]
+        while stack:
+            top = stack[-1]
+            todo = [c for c in (top.left, top.right) if isinstance(c, Tensor) and "_hash" not in c.__dict__]
+            if todo:
+                stack.extend(todo)
+            else:
+                stack.pop()
+                top.__dict__["_hash"] = hash((top.left, top.right))
+        return self.__dict__["_hash"]
+
+    def __reduce__(self):
+        # pickle the fields only: a kept hash is wrong in another process,
+        # since string hashes differ between processes
+        return Tensor, (self.left, self.right)
 
 
 Term = Union[Atom, Unit, Tensor]

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from tensorlogic.cli import EXIT_INPUT, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, main
+from tensorlogic import cli
+from tensorlogic.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, main
 
 
 def run(capsys, *argv):
@@ -145,3 +146,18 @@ def test_theory_decide_imports_no_numeric_stack():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"[{EXIT_YES}, {EXIT_NO}] []"
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    """A fault inside a command is neither an answer (0, 1, 2) nor an input
+    error (3): it keeps its traceback and ends with a one-line message."""
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_decide", broken)
+    code, out, err = run(capsys, "decide", "A |- A")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback (most recent call last)" in err
+    assert err.strip().splitlines()[-1] == "error: internal: RuntimeError: boom"

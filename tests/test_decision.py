@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from tensorlogic import (
 )
 from tensorlogic.kernel import Cut, render_proof
 from tensorlogic.terms import Tensor, atom_list, atom_vector, tensor_of, term_size
+from tensorlogic.theory import parse_theory
 
 from helpers import random_balanced_inference, random_inference, random_proof
 
@@ -100,7 +102,7 @@ def test_decide_criteria_shapes():
 def test_decide_deep_combs():
     """Term traversals do not recurse, so size alone cannot crash ``decide``.
 
-    The combs are built directly: the parser and ``hash()`` still recurse."""
+    The combs are built directly: the parser still recurses on brackets."""
     n = 10_000
     atoms = [Atom(f"A{i}") for i in range(n)]
     left = tensor_of(atoms)
@@ -216,3 +218,71 @@ def test_search_with_theory_uses_axioms():
     result = bounded_search(inf, Mode.T, 400, theory)
     assert result.found
     assert check(result.proof, Mode.T, theory) == inf
+
+
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
+
+
+@pytest.mark.parametrize(
+    "mode,name,text,rendered,goals",
+    [
+        (Mode.T, "cloning", "|- C * C", "(rx (ax-r C) (ax-r C))", 2),
+        (Mode.T, "cloning", "C |- C * C", "(rx (ax-r C) (id C))", 3),
+        (Mode.T, "cloning", "C |- C * C * C", "(rx (rx (ax-r C) (ax-r C)) (id C))", 10),
+        (Mode.T, "coherence", "Q(1), Q(0) |- Q(0.5)", "(cut (ax-l Q(0)) (l1 1 (conv Q(1) Q(0.5))))", 19),
+        (Mode.T, "coherence", "Q(1) |- Q(0.5) * Q(0)", "(rx (conv Q(1) Q(0.5)) (ax-r Q(0)))", 4),
+        (Mode.T, "coherence", "|- Q(0) * Q(0)", "(rx (ax-r Q(0)) (ax-r Q(0)))", 2),
+        (Mode.T, "locc", "E |- Q_A", "(cut (conv E Q_A * Q_B) (lx 0 (cut (ax-l Q_B) (l1 1 (id Q_A)))))", 128),
+        (
+            Mode.T,
+            "locc",
+            "E |- Q_B",
+            "(cut (conv E Q_A * Q_B) (lx 0 (ex 0 1 2 (cut (ax-l Q_A) (l1 1 (id Q_B))))))",
+            180,
+        ),
+        (
+            Mode.T,
+            "locc",
+            "E |- C * Q_A * Q_B",
+            "(cut (conv E Q_A * Q_B) (lx 0 (rx (rx (ax-r C) (id Q_A)) (id Q_B))))",
+            212,
+        ),
+        (
+            Mode.TPRIME,
+            "locc",
+            "E |- Q_A",
+            "(cut 0 (conv E Q_A * Q_B) (lx 0 (cut 1 (ax-l Q_B) (l1 1 (id Q_A)))))",
+            216,
+        ),
+        (
+            Mode.TPRIME,
+            "locc",
+            "E, C |- Q_B * C",
+            "(rx (cut 0 (conv E Q_A * Q_B) (lx 0 (cut 0 (ax-l Q_A) (l1 0 (id Q_B))))) (id C))",
+            765,
+        ),
+        (Mode.TPRIME, "coherence", "Q(1), Q(0) |- Q(0.5)", "(cut 1 (ax-l Q(0)) (l1 1 (conv Q(1) Q(0.5))))", 22),
+        (Mode.TPRIME, "cloning", "C |- C * C * C", "(rx (rx (ax-r C) (ax-r C)) (id C))", 11),
+    ],
+)
+def test_theory_cut_search_is_pinned(mode, name, text, rendered, goals):
+    """Cut search in a theory returns this exact proof after exploring this
+    many goals: the candidate, span and split order is fixed.  The first nine
+    are the benchmark's theory searches; the strings and counts were recorded
+    before the search kept its bookkeeping per ``Prover``."""
+    theory = parse_theory((THEORIES / f"{name}.thy").read_text())
+    inf = parse_inference(text)
+    prover = Prover(mode, theory)
+    result = prover.prove(inf, 30)
+    assert render_proof(result.proof) == rendered
+    assert len(prover.memo) == goals
+    assert check(result.proof, mode, theory) == inf
+
+
+def test_chain_length_closed_form():
+    """The budget's Exchange count matches the chain that is built, for
+    every cut span and tensor split up to 9 items."""
+    for n in range(10):
+        for inside, outside in Prover._selections([1] * n):
+            for first, second in ((outside, inside), (inside, outside)):
+                assert Prover._chain_length(first, second) == len(Prover._block_move_chain(first + second))

@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -84,3 +90,39 @@ def test_render_parenthesisation():
     assert render_term(parse_term("(A * B) * C")) == "A * B * C"
     assert render_term(parse_term("A * (B * C)")) == "A * (B * C)"
     assert render_inference(parse_inference("|-1")) == "|- 1"
+
+
+def test_deep_terms_hash():
+    """A term's hash is built from its children's kept hashes, so hashing a
+    deep comb does not recurse, alone or inside an ``Inference``."""
+    comb = tensor_of(Atom(f"A{i}") for i in range(10_000))
+    assert hash(comb) == hash(comb)
+    inf = Inference((comb,), comb)
+    assert hash(inf) == hash(Inference((comb,), comb))
+
+
+def test_equal_terms_hash_equal():
+    text = "A * (B * 1) * (Q(0.5) * (C * A)), B |- (A * B) * 1"
+    first, second = parse_inference(text), parse_inference(text)
+    assert first.consequent is not second.consequent
+    assert first == second and hash(first) == hash(second)
+    for x, y in zip(first.antecedent, second.antecedent):
+        assert hash(x) == hash(y)
+
+
+def test_unpickled_terms_rehash():
+    """A term's kept hash is not pickled, since string hashes differ between
+    processes: a term hashed and pickled under another hash seed is still
+    found in a set of equal terms."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONHASHSEED="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    script = (
+        "import pickle, sys\n"
+        "from tensorlogic import parse_term\n"
+        "t = parse_term('A * (B * C)')\n"
+        "hash(t)\n"
+        "sys.stdout.buffer.write(pickle.dumps(t))"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True).stdout
+    assert pickle.loads(out) in {parse_term("A * (B * C)")}
