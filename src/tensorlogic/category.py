@@ -134,23 +134,75 @@ def inverse(f: Morphism) -> Morphism:
 
 # --- coherence diagrams ------------------------------------------------------
 
-DIAGRAMS = (
-    "triangle",
-    "pentagon",
-    "hexagon",
-    "symmetry-unit",
-    "symmetry-inverse",
-    "interchange",
-    "nat-lambda",
-    "nat-rho",
-    "nat-alpha",
-    "nat-sigma",
-)
+def _triangle(mode: Mode, a: Term, b: Term) -> tuple[Morphism, Morphism]:
+    left = compose(associator(a, UNIT, b, mode), boxtimes(identity(a, mode), unit_left(b, mode)))
+    return left, boxtimes(unit_right(a, mode), identity(b, mode))
 
 
-def _need(items, n: int, name: str, kind: str = "object"):
-    if len(items) != n:
-        raise ValueError(f"{name} needs {n} {kind}(s), got {len(items)}")
+def _pentagon(mode: Mode, a: Term, b: Term, c: Term, d: Term) -> tuple[Morphism, Morphism]:
+    left = compose(associator(Tensor(a, b), c, d, mode), associator(a, b, Tensor(c, d), mode))
+    right = boxtimes(associator(a, b, c, mode), identity(d, mode))
+    right = compose(right, associator(a, Tensor(b, c), d, mode))
+    right = compose(right, boxtimes(identity(a, mode), associator(b, c, d, mode)))
+    return left, right
+
+
+def _hexagon(mode: Mode, a: Term, b: Term, c: Term) -> tuple[Morphism, Morphism]:
+    left = compose(associator(a, b, c, mode), symmetry(a, Tensor(b, c), mode))
+    left = compose(left, associator(b, c, a, mode))
+    right = compose(boxtimes(symmetry(a, b, mode), identity(c, mode)), associator(b, a, c, mode))
+    right = compose(right, boxtimes(identity(b, mode), symmetry(a, c, mode)))
+    return left, right
+
+
+def _symmetry_unit(mode: Mode, a: Term) -> tuple[Morphism, Morphism]:
+    return compose(symmetry(a, UNIT, mode), unit_left(a, mode)), unit_right(a, mode)
+
+
+def _symmetry_inverse(mode: Mode, a: Term, b: Term) -> tuple[Morphism, Morphism]:
+    return compose(symmetry(a, b, mode), symmetry(b, a, mode)), identity(Tensor(a, b), mode)
+
+
+def _interchange(mode: Mode, f: Morphism, h: Morphism, g: Morphism, k: Morphism) -> tuple[Morphism, Morphism]:
+    return compose(boxtimes(f, g), boxtimes(h, k)), boxtimes(compose(f, h), compose(g, k))
+
+
+def _nat_lambda(mode: Mode, f: Morphism) -> tuple[Morphism, Morphism]:
+    left = compose(unit_left(f.source, mode), f)
+    return left, compose(boxtimes(identity(UNIT, mode), f), unit_left(f.target, mode))
+
+
+def _nat_rho(mode: Mode, f: Morphism) -> tuple[Morphism, Morphism]:
+    left = compose(unit_right(f.source, mode), f)
+    return left, compose(boxtimes(f, identity(UNIT, mode)), unit_right(f.target, mode))
+
+
+def _nat_alpha(mode: Mode, f: Morphism, g: Morphism, h: Morphism) -> tuple[Morphism, Morphism]:
+    left = compose(associator(f.source, g.source, h.source, mode), boxtimes(f, boxtimes(g, h)))
+    right = compose(boxtimes(boxtimes(f, g), h), associator(f.target, g.target, h.target, mode))
+    return left, right
+
+
+def _nat_sigma(mode: Mode, f: Morphism, g: Morphism) -> tuple[Morphism, Morphism]:
+    left = compose(symmetry(f.source, g.source, mode), boxtimes(g, f))
+    return left, compose(boxtimes(f, g), symmetry(f.target, g.target, mode))
+
+
+# name -> (objects, morphisms, needs the braiding (mode t only), its two legs)
+_DIAGRAMS = {
+    "triangle": (2, 0, False, _triangle),
+    "pentagon": (4, 0, False, _pentagon),
+    "hexagon": (3, 0, True, _hexagon),
+    "symmetry-unit": (1, 0, True, _symmetry_unit),
+    "symmetry-inverse": (2, 0, True, _symmetry_inverse),
+    "interchange": (0, 4, False, _interchange),
+    "nat-lambda": (0, 1, False, _nat_lambda),
+    "nat-rho": (0, 1, False, _nat_rho),
+    "nat-alpha": (0, 3, False, _nat_alpha),
+    "nat-sigma": (0, 2, True, _nat_sigma),
+}
+
+DIAGRAMS = tuple(_DIAGRAMS)
 
 
 def check_diagram(
@@ -161,80 +213,14 @@ def check_diagram(
     ``triangle`` and ``pentagon`` take objects and hold in both modes; the
     symmetry diagrams (``hexagon``, ``symmetry-unit``, ``symmetry-inverse``,
     ``nat-sigma``) hold in mode ``t``.  ``interchange`` and the naturality
-    squares additionally take morphisms.
+    squares take morphisms instead of objects.
     """
-    if name == "triangle":
-        _need(terms, 2, name)
-        a, b = terms
-        left = compose(associator(a, UNIT, b, mode), boxtimes(identity(a, mode), unit_left(b, mode)))
-        right = boxtimes(unit_right(a, mode), identity(b, mode))
-        return left == right
-    if name == "pentagon":
-        _need(terms, 4, name)
-        a, b, c, d = terms
-        left = compose(associator(Tensor(a, b), c, d, mode), associator(a, b, Tensor(c, d), mode))
-        right = compose(
-            compose(
-                boxtimes(associator(a, b, c, mode), identity(d, mode)),
-                associator(a, Tensor(b, c), d, mode),
-            ),
-            boxtimes(identity(a, mode), associator(b, c, d, mode)),
-        )
-        return left == right
-    if name == "hexagon":
-        _need(terms, 3, name)
-        a, b, c = terms
-        left = compose(
-            compose(associator(a, b, c, mode), symmetry(a, Tensor(b, c), mode)),
-            associator(b, c, a, mode),
-        )
-        right = compose(
-            compose(boxtimes(symmetry(a, b, mode), identity(c, mode)), associator(b, a, c, mode)),
-            boxtimes(identity(b, mode), symmetry(a, c, mode)),
-        )
-        return left == right
-    if name == "symmetry-unit":
-        _need(terms, 1, name)
-        (a,) = terms
-        left = compose(symmetry(a, UNIT, mode), unit_left(a, mode))
-        return left == unit_right(a, mode)
-    if name == "symmetry-inverse":
-        _need(terms, 2, name)
-        a, b = terms
-        left = compose(symmetry(a, b, mode), symmetry(b, a, mode))
-        return left == identity(Tensor(a, b), mode)
-    if name == "interchange":
-        _need(morphisms, 4, name, "morphism")
-        f, h, g, k = morphisms
-        left = compose(boxtimes(f, g), boxtimes(h, k))
-        right = boxtimes(compose(f, h), compose(g, k))
-        return left == right
-    if name == "nat-lambda":
-        _need(morphisms, 1, name, "morphism")
-        (f,) = morphisms
-        left = compose(unit_left(f.source, mode), f)
-        right = compose(boxtimes(identity(UNIT, mode), f), unit_left(f.target, mode))
-        return left == right
-    if name == "nat-rho":
-        _need(morphisms, 1, name, "morphism")
-        (f,) = morphisms
-        left = compose(unit_right(f.source, mode), f)
-        right = compose(boxtimes(f, identity(UNIT, mode)), unit_right(f.target, mode))
-        return left == right
-    if name == "nat-alpha":
-        _need(morphisms, 3, name, "morphism")
-        f, g, h = morphisms
-        left = compose(
-            associator(f.source, g.source, h.source, mode), boxtimes(f, boxtimes(g, h))
-        )
-        right = compose(
-            boxtimes(boxtimes(f, g), h), associator(f.target, g.target, h.target, mode)
-        )
-        return left == right
-    if name == "nat-sigma":
-        _need(morphisms, 2, name, "morphism")
-        f, g = morphisms
-        left = compose(symmetry(f.source, g.source, mode), boxtimes(g, f))
-        right = compose(boxtimes(f, g), symmetry(f.target, g.target, mode))
-        return left == right
-    raise ValueError(f"unknown diagram {name!r}")
+    entry = _DIAGRAMS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown diagram {name!r}")
+    n_objects, n_morphisms, _, legs = entry
+    items, n, kind = (terms, n_objects, "object") if n_objects else (morphisms, n_morphisms, "morphism")
+    if len(items) != n:
+        raise ValueError(f"{name} needs {n} {kind}(s), got {len(items)}")
+    left, right = legs(mode, *items)
+    return left == right

@@ -34,16 +34,11 @@ def _mode(args) -> Mode:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload))
-    else:
-        print(text)
+    print(json.dumps(payload) if args.json else text)
 
 
 def _load_theory(args):
-    if getattr(args, "theory", None):
-        return theory_mod.load_theory(args.theory)
-    return None
+    return theory_mod.load_theory(args.theory) if args.theory else None
 
 
 def _read(path: str) -> str:
@@ -128,20 +123,16 @@ def cmd_equiv(args) -> int:
 def cmd_theory_decide(args) -> int:
     if not args.theory:
         raise ParseError("theory decide requires --theory FILE")
-    th = theory_mod.load_theory(args.theory)
+    th = _load_theory(args)
     inference = parse_inference(args.inference)
     verdict = theory_mod.decide_in_theory(th, inference, args.cap)
     payload = {"verdict": verdict.status, "cap": verdict.cap}
     text = verdict.status
     if verdict.status == "provable":
-        payload["counts"] = {
-            "available": list(verdict.counts["available"]),
-            "disposable": list(verdict.counts["disposable"]),
-            "conversions": list(verdict.counts["conversions"]),
-        }
+        payload["counts"] = {kind: list(uses) for kind, uses in verdict.counts.items()}
         payload["witness"] = render_proof(verdict.witness)
         text = f"provable {payload['counts']}"
-    print(json.dumps(payload) if args.json else text)
+    _emit(args, payload, text)
     return {"provable": EXIT_YES, "not-provable": EXIT_NO, "unknown": EXIT_UNKNOWN}[verdict.status]
 
 
@@ -163,10 +154,9 @@ def cmd_coherence_sweep(args) -> int:
     objects = tuple(atoms) + (UNIT,)
     failures = []
     checked = 0
-    plans = [("triangle", 2), ("pentagon", 4)]
-    if mode is Mode.T:
-        plans += [("hexagon", 3), ("symmetry-unit", 1), ("symmetry-inverse", 2)]
-    for name, arity in plans:
+    for name, (arity, _, braided, _) in category._DIAGRAMS.items():
+        if not arity or (braided and mode is not Mode.T):
+            continue  # a diagram on morphisms, or one that needs the braiding
         for combo in itertools.product(objects, repeat=arity):
             checked += 1
             if not category.check_diagram(name, mode, terms=combo):

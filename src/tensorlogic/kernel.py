@@ -17,7 +17,8 @@ where ``POS`` is omitted for Cut in mode ``T``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING, Union
 
 from .terms import (
@@ -126,7 +127,23 @@ class ConvAxiom:
 
 RuleApp = Union[Id, RUnit, LUnit, LTensor, RTensor, Cut, Exchange, RAxiom, LAxiom, ConvAxiom]
 
-_ARITY = {Id: 0, RUnit: 0, RAxiom: 0, LAxiom: 0, ConvAxiom: 0, LUnit: 1, LTensor: 1, Exchange: 1, RTensor: 2, Cut: 2}
+# rule class -> (s-expression head, premise count, (name, kind) of each field);
+# a kind is "atom", "int", "int?" (a None is not written) or "term"
+_RULES = {
+    cls: (head, premises, tuple(zip([f.name for f in fields(cls)], kinds)))
+    for cls, head, premises, kinds in (
+        (Id, "id", 0, ("atom",)),
+        (RUnit, "r1", 0, ()),
+        (LUnit, "l1", 1, ("int",)),
+        (LTensor, "lx", 1, ("int",)),
+        (RTensor, "rx", 2, ()),
+        (Cut, "cut", 2, ("int?",)),
+        (Exchange, "ex", 1, ("int", "int", "int")),
+        (RAxiom, "ax-r", 0, ("term",)),
+        (LAxiom, "ax-l", 0, ("term",)),
+        (ConvAxiom, "conv", 0, ("term", "term")),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -174,7 +191,7 @@ def check(proof: Proof, mode: Mode, theory: "Theory | None" = None) -> Inference
     tree does not check.
     """
     rule = proof.rule
-    expected = _ARITY[type(rule)]
+    expected = _RULES[type(rule)][1]
     if len(proof.premises) != expected:
         raise ArityError(f"{type(rule).__name__} takes {expected} premises, got {len(proof.premises)}")
     concs = [check(p, mode, theory) for p in proof.premises]
@@ -303,15 +320,11 @@ def cut_proofs(p1: Proof, p2: Proof, pos: int, mode: Mode, n2: int) -> Proof:
     moved = Proof(Exchange(pos, pos + 1, n2), (p2,))
     cut = Proof(Cut(None), (p1, moved))
     # Delta | Theta | Gamma  ->  Delta | Gamma | Theta
-    g = _antecedent_len_of(p1, mode)
+    g = len(check_loose(p1, mode).antecedent)
     if g == 0:
         return cut
     theta = n2 - 1 - pos
     return Proof(Exchange(pos, pos + theta, pos + theta + g), (cut,))
-
-
-def _antecedent_len_of(proof: Proof, mode: Mode) -> int:
-    return len(check_loose(proof, mode).antecedent)
 
 
 class _Permissive:
@@ -454,29 +467,13 @@ def to_mode_t(proof: Proof) -> Proof:
 
 def render_proof(proof: Proof) -> str:
     rule = proof.rule
-    if isinstance(rule, Id):
-        head = f"id {rule.atom.name}"
-    elif isinstance(rule, RUnit):
-        head = "r1"
-    elif isinstance(rule, LUnit):
-        head = f"l1 {rule.position}"
-    elif isinstance(rule, LTensor):
-        head = f"lx {rule.position}"
-    elif isinstance(rule, RTensor):
-        head = "rx"
-    elif isinstance(rule, Cut):
-        head = "cut" if rule.position is None else f"cut {rule.position}"
-    elif isinstance(rule, Exchange):
-        head = f"ex {rule.i} {rule.j} {rule.k}"
-    elif isinstance(rule, RAxiom):
-        head = f"ax-r {render_term(rule.term)}"
-    elif isinstance(rule, LAxiom):
-        head = f"ax-l {render_term(rule.term)}"
-    elif isinstance(rule, ConvAxiom):
-        head = f"conv {render_term(rule.source)} {render_term(rule.target)}"
-    else:  # pragma: no cover
-        raise ValueError(f"unknown rule {rule!r}")
-    parts = [head] + [render_proof(p) for p in proof.premises]
+    head, _, rule_fields = _RULES[type(rule)]
+    parts = [head]
+    for name, kind in rule_fields:
+        value = getattr(rule, name)
+        if value is not None:
+            parts.append(_KINDS[kind][0](value))
+    parts += [render_proof(p) for p in proof.premises]
     return "(" + " ".join(parts) + ")"
 
 
@@ -488,51 +485,41 @@ def _parse_int(ts: _TokenStream) -> int:
         raise ParseError(f"expected an integer, got {tok!r}") from None
 
 
-def _peek_int(ts: _TokenStream) -> bool:
-    tok = ts.peek()
-    if tok is None:
-        return False
+def _parse_atom(ts: _TokenStream) -> Atom:
+    tok = ts.next()
+    if tok in _STRUCTURAL:
+        raise ParseError(f"expected an atom name, got {tok!r}")
+    return Atom(tok)
+
+
+def _parse_opt_int(ts: _TokenStream) -> int | None:
     try:
-        int(tok)
-        return True
+        value = int(ts.peek() or "")
     except ValueError:
-        return False
+        return None
+    ts.next()
+    return value
+
+
+# field kind -> (render a value, parse a value)
+_KINDS = {
+    "atom": (attrgetter("name"), _parse_atom),
+    "int": (str, _parse_int),
+    "int?": (str, _parse_opt_int),
+    "term": (render_term, _parse_term_tokens),
+}
+
+_HEADS = {head: (cls, premises, rule_fields) for cls, (head, premises, rule_fields) in _RULES.items()}
 
 
 def _parse_proof_tokens(ts: _TokenStream) -> Proof:
     ts.expect("(")
     head = ts.next()
-    rule: RuleApp
-    n_premises: int
-    if head == "id":
-        tok = ts.next()
-        if tok in _STRUCTURAL:
-            raise ParseError(f"expected an atom name, got {tok!r}")
-        rule, n_premises = Id(Atom(tok)), 0
-    elif head == "r1":
-        rule, n_premises = RUnit(), 0
-    elif head == "l1":
-        rule, n_premises = LUnit(_parse_int(ts)), 1
-    elif head == "lx":
-        rule, n_premises = LTensor(_parse_int(ts)), 1
-    elif head == "rx":
-        rule, n_premises = RTensor(), 2
-    elif head == "cut":
-        pos = _parse_int(ts) if _peek_int(ts) else None
-        rule, n_premises = Cut(pos), 2
-    elif head == "ex":
-        i, j, k = _parse_int(ts), _parse_int(ts), _parse_int(ts)
-        rule, n_premises = Exchange(i, j, k), 1
-    elif head == "ax-r":
-        rule, n_premises = RAxiom(_parse_term_tokens(ts)), 0
-    elif head == "ax-l":
-        rule, n_premises = LAxiom(_parse_term_tokens(ts)), 0
-    elif head == "conv":
-        src = _parse_term_tokens(ts)
-        tgt = _parse_term_tokens(ts)
-        rule, n_premises = ConvAxiom(src, tgt), 0
-    else:
+    entry = _HEADS.get(head)
+    if entry is None:
         raise ParseError(f"unknown proof rule {head!r}")
+    cls, n_premises, rule_fields = entry
+    rule = cls(*[_KINDS[kind][1](ts) for _, kind in rule_fields])
     premises = tuple(_parse_proof_tokens(ts) for _ in range(n_premises))
     ts.expect(")")
     return Proof(rule, premises)

@@ -448,7 +448,6 @@ def build_witness(
             p = Proof(RTensor(), (p, Proof(RAxiom(x))))
             cur = Tensor(cur, x)
             state = state + atom_list(x)
-            p, cur = _step(p, cur, _rebuild(state))
     for l in order:
         a, b = theory.conversions[l]
         state = _remove_occurrences(state, atom_vector(a))
@@ -458,7 +457,6 @@ def build_witness(
         p = _cut_last(p, conv)
         cur = Tensor(rest, b)
         state = state + atom_list(b)
-        p, cur = _step(p, cur, _rebuild(state))
     for j, nj in enumerate(n):
         y = theory.disposable[j]
         for _ in range(nj):
@@ -468,7 +466,6 @@ def build_witness(
             disp = tensor_proofs(identity_proof(rest, Mode.T), Proof(LAxiom(y)))
             p = _cut_last(p, disp)
             cur = Tensor(rest, UNIT)
-            p, cur = _step(p, cur, _rebuild(state))
     p, cur = _step(p, cur, inference.consequent)
     return p
 

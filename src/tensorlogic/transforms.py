@@ -417,20 +417,7 @@ class _Rewriter(_Pass):
         return Proof(RTensor(), (Proof(LUnit(q), (qa,)), qb))
 
 
-TRANSFORMS = (
-    "cut-cut-v",
-    "cut-cut-h",
-    "cut-tensor",
-    "one-cut",
-    "lx-cut-l",
-    "lx-cut-r",
-    "rx-cut",
-    "r-id",
-    "l-id",
-    "lx-rx",
-    "l1-rx",
-)
-
+# name -> the forward and inverse methods of ``_Rewriter``
 _DISPATCH = {
     "cut-cut-v": ("cut_cut_v_fwd", "cut_cut_v_inv"),
     "cut-cut-h": ("cut_cut_h_fwd", "cut_cut_h_inv"),
@@ -444,6 +431,8 @@ _DISPATCH = {
     "lx-rx": ("lx_rx_fwd", "lx_rx_inv"),
     "l1-rx": ("l1_rx_fwd", "l1_rx_inv"),
 }
+
+TRANSFORMS = tuple(_DISPATCH)
 
 
 def apply_transform(

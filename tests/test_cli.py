@@ -119,6 +119,13 @@ def test_coherence_sweep(capsys):
     assert code == EXIT_YES
 
 
+@pytest.mark.parametrize("mode,atoms,checked", [("t", 1, 37), ("tprime", 1, 20), ("t", 2, 132), ("tprime", 2, 90)])
+def test_coherence_sweep_counts(capsys, mode, atoms, checked):
+    code, out, _ = run(capsys, "--json", "--mode", mode, "coherence", "sweep", "--max-atoms", str(atoms))
+    assert code == EXIT_YES
+    assert json.loads(out) == {"checked": checked, "failures": []}
+
+
 def test_input_errors_exit_3(capsys):
     assert run(capsys, "decide", "A |-")[0] == EXIT_INPUT
     assert run(capsys, "check", "/no/such/file.proof")[0] == EXIT_INPUT

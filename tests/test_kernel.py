@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorlogic import (
+    Atom,
     Mode,
     ParseError,
     Proof,
@@ -17,6 +18,7 @@ from tensorlogic import (
     identity_proof,
     parse_inference,
     parse_proof,
+    parse_term,
     render_proof,
     tensor_proofs,
     to_mode_t,
@@ -99,6 +101,51 @@ def test_random_proofs_check(seed, mode):
 def test_render_parse_proof_round_trip(seed, mode):
     proof = random_proof(random.Random(seed), mode)
     assert parse_proof(render_proof(proof)) == proof
+
+
+_A, _B = Atom("A"), Atom("B")
+_ID_A, _ID_B = Proof(kernel.Id(_A)), Proof(kernel.Id(_B))
+_AB = Proof(kernel.RTensor(), (_ID_A, _ID_B))
+
+# one instance of each rule and its s-expression
+RULE_TEXTS = [
+    (_ID_A, "(id A)"),
+    (Proof(kernel.RUnit()), "(r1)"),
+    (Proof(kernel.LUnit(1), (_ID_A,)), "(l1 1 (id A))"),
+    (Proof(kernel.LTensor(0), (_AB,)), "(lx 0 (rx (id A) (id B)))"),
+    (_AB, "(rx (id A) (id B))"),
+    (Proof(kernel.Cut(), (_ID_A, _ID_A)), "(cut (id A) (id A))"),
+    (Proof(kernel.Cut(1), (_ID_B, _AB)), "(cut 1 (id B) (rx (id A) (id B)))"),
+    (Proof(kernel.Exchange(0, 1, 2), (_AB,)), "(ex 0 1 2 (rx (id A) (id B)))"),
+    (Proof(kernel.RAxiom(parse_term("A * (B * 1)"))), "(ax-r A * (B * 1))"),
+    (Proof(kernel.LAxiom(parse_term("(A * B) * A"))), "(ax-l A * B * A)"),
+    (Proof(kernel.ConvAxiom(parse_term("A * B"), _B)), "(conv A * B B)"),
+]
+
+
+@pytest.mark.parametrize("proof,text", RULE_TEXTS)
+def test_each_rule_renders_and_parses(proof, text):
+    assert render_proof(proof) == text
+    assert parse_proof(text) == proof
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("(foo A)", "unknown proof rule 'foo'"),
+        ("(id *)", "expected an atom name, got '*'"),
+        ("(ex 0 x 2 (id A))", "expected an integer, got 'x'"),
+    ],
+)
+def test_proof_parse_errors(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_proof(text)
+    assert str(exc.value) == message
+
+
+def test_cut_position_may_be_negative():
+    # parsed as given; check then rejects the position
+    assert parse_proof("(cut -1 (id A) (id A))").rule == kernel.Cut(-1)
 
 
 @given(seeds)
