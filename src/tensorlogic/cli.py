@@ -125,7 +125,7 @@ def cmd_theory_decide(args) -> int:
         raise ParseError("theory decide requires --theory FILE")
     th = _load_theory(args)
     inference = parse_inference(args.inference)
-    verdict = theory_mod.decide_in_theory(th, inference, args.cap)
+    verdict = theory_mod.decide_in_theory(th, inference, args.cap, _mode(args))
     payload = {"verdict": verdict.status, "cap": verdict.cap}
     text = verdict.status
     if verdict.status == "provable":

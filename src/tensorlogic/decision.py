@@ -32,7 +32,7 @@ from .kernel import (
     RTensor,
     RUnit,
 )
-from .terms import UNIT, Atom, Inference, Tensor, Term, Unit, atom_list, term_size
+from .terms import UNIT, Atom, Inference, Tensor, Term, Unit, atom_list
 
 
 class Decision(enum.Enum):
@@ -173,7 +173,6 @@ class Prover:
     instance and lives as long as the ``Prover``:
 
     - ``memo``: goal -> ``("proved", size, proof)`` or ``("failed", cap)``;
-    - ``_occ``: term -> its atom-occurrence count;
     - ``_axiom_terms``: ``1`` and the subterms of the theory's axioms, the
       cut terms that every goal shares, built once;
     - ``_candidates``: goal -> its sorted cut terms;
@@ -184,7 +183,6 @@ class Prover:
         self.mode = mode
         self.theory = theory
         self.memo: dict[_Goal, tuple] = {}
-        self._occ: dict[Term, int] = {}
         self._axiom_terms: set[Term] = {UNIT}
         if theory is not None:
             for x in (*theory.available, *theory.disposable, *(t for conv in theory.conversions for t in conv)):
@@ -210,16 +208,6 @@ class Prover:
             sys.setrecursionlimit(limit)
         return SearchResult(True, found[0]) if found is not None else SearchResult(False)
 
-    def _occurrences(self, term: Term) -> int:
-        count = self._occ.get(term)
-        if count is None:
-            count = self._occ[term] = len(atom_list(term))
-        return count
-
-    def _lower_bound(self, goal: _Goal, counts: list[int]) -> int:
-        ant, cons = goal
-        return term_size(cons) + sum(term_size(item) for item in ant) - sum(counts)
-
     def _cut_terms(self, goal: _Goal) -> list[Term]:
         """``1`` and the subterms of the goal and of the theory's axioms, by
         size and then by text."""
@@ -229,7 +217,7 @@ class Prover:
             for item in goal[0]:
                 _subterms(item, acc)
             _subterms(goal[1], acc)
-            terms = self._candidates[goal] = sorted(acc, key=lambda t: (term_size(t), str(t)))
+            terms = self._candidates[goal] = sorted(acc, key=lambda t: (t.size, str(t)))
         return terms
 
     @staticmethod
@@ -305,9 +293,10 @@ class Prover:
             if cached[1] >= cap:
                 return None
         ant, cons = goal
-        counts = [self._occurrences(item) for item in ant]
+        counts = [item.occurrences for item in ant]
+        # cut-free, a rule per tensor or unit on either side and an Id per atom pair
         if self.theory is None and (
-            sum(counts) != self._occurrences(cons) or self._lower_bound(goal, counts) > cap
+            sum(counts) != cons.occurrences or cons.size + sum(item.size for item in ant) - sum(counts) > cap
         ):
             self.memo[goal] = ("failed", max(cap, cached[1] if cached else 0))
             return None
@@ -381,7 +370,7 @@ class Prover:
         factor is ``left``: contiguous in ``tprime``, any order-preserving
         subset in ``t`` in increasing bitmask order.  Without a theory only
         the splits whose left part carries as many occurrences as ``left``."""
-        total = None if self.theory is not None else self._occurrences(left)
+        total = None if self.theory is not None else left.occurrences
         if self.mode is Mode.T:
             return self._selections(counts, total)
         n = len(counts)

@@ -11,6 +11,15 @@ consequent term.  The concrete syntax is::
 (turnstile), and ``𝟙`` (unit) are accepted on input.  Atom names start with a
 letter, underscore, or ``-`` and may carry a single parenthesised suffix, so
 ``Q(0.5)`` and ``-Q(0.5)`` are single atoms.
+
+Terms are hash-consed (Filliâtre and Conchon, ML Workshop 2006): a
+constructor returns the one live term with its fields, so ``==`` and ``hash``
+are identity, O(1) at any depth, and ``size`` (tree nodes) and
+``occurrences`` (atom occurrences) are fields set when a term is first built.
+The intern tables are plain dicts, filled with ``setdefault`` so that racing
+threads still end with one term, and terms live as long as the process: a
+CLI run is one short process, and a library caller keeps every distinct term
+it builds.
 """
 
 from __future__ import annotations
@@ -24,56 +33,78 @@ class ParseError(ValueError):
     """Raised when term, inference, proof, or file syntax is malformed."""
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class _Term:
+    """Immutable; pickled and copied through its constructor, to the live term."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Atom(_Term):
+    __slots__ = ("name",)
+    size = occurrences = 1
+
+    def __new__(cls, name: str) -> Atom:
+        atom = _ATOMS.get(name)
+        if atom is None:
+            atom = object.__new__(cls)
+            object.__setattr__(atom, "name", name)
+            atom = _ATOMS.setdefault(name, atom)
+        return atom
 
     def __repr__(self) -> str:
         return f"Atom({self.name!r})"
 
+    def __reduce__(self):
+        return Atom, (self.name,)
 
-@dataclass(frozen=True)
-class Unit:
+
+class Unit(_Term):
+    __slots__ = ()
+    size = 1
+    occurrences = 0
+
+    def __new__(cls) -> Unit:
+        return UNIT
+
     def __repr__(self) -> str:
         return "Unit()"
 
+    def __reduce__(self):
+        return Unit, ()
 
-@dataclass(frozen=True)
-class Tensor:
-    """``left * right``.  Its hash is computed on first use and kept, from
-    its children's kept hashes, so hashing never recurses and a term of any
-    depth is a cheap dict key; ``==`` is still the dataclass's recursive
-    comparison."""
 
-    left: "Term"
-    right: "Term"
+class Tensor(_Term):
+    __slots__ = ("left", "right", "size", "occurrences")
 
-    def __hash__(self) -> int:
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            pass
-        # hash the subterms that have no hash yet, children first
-        stack = [self]
-        while stack:
-            top = stack[-1]
-            todo = [c for c in (top.left, top.right) if isinstance(c, Tensor) and "_hash" not in c.__dict__]
-            if todo:
-                stack.extend(todo)
-            else:
-                stack.pop()
-                top.__dict__["_hash"] = hash((top.left, top.right))
-        return self.__dict__["_hash"]
+    def __new__(cls, left: Term, right: Term) -> Tensor:
+        t = _TENSORS.get((left, right))
+        if t is None:
+            t = object.__new__(cls)
+            init = object.__setattr__
+            init(t, "left", left)
+            init(t, "right", right)
+            init(t, "size", left.size + right.size + 1)
+            init(t, "occurrences", left.occurrences + right.occurrences)
+            t = _TENSORS.setdefault((left, right), t)
+        return t
+
+    def __repr__(self) -> str:
+        return f"Tensor(left={self.left!r}, right={self.right!r})"
 
     def __reduce__(self):
-        # pickle the fields only: a kept hash is wrong in another process,
-        # since string hashes differ between processes
         return Tensor, (self.left, self.right)
 
 
 Term = Union[Atom, Unit, Tensor]
 
-UNIT = Unit()
+UNIT: Unit = object.__new__(Unit)
+_ATOMS: dict[str, Atom] = {}  # name -> the live atom
+_TENSORS: dict[tuple[Term, Term], Tensor] = {}  # (left, right) -> the live tensor
 
 
 @dataclass(frozen=True)
@@ -100,7 +131,7 @@ def tensor_of(terms: Iterable[Term]) -> Term:
 
 def atom_list(obj: Term | Iterable[Term]) -> list[str]:
     """Atom names of a term (or term sequence) in left-to-right order."""
-    stack = [obj] if isinstance(obj, (Atom, Unit, Tensor)) else list(obj)[::-1]
+    stack = [obj] if isinstance(obj, _Term) else list(obj)[::-1]
     out: list[str] = []
     while stack:
         t = stack.pop()
@@ -117,32 +148,21 @@ def atom_vector(obj: Term | Iterable[Term]) -> Counter:
     return Counter(atom_list(obj))
 
 
-def term_size(t: Term) -> int:
-    """Number of syntax-tree nodes (atoms, units, and tensors)."""
-    size = 1  # a tree with k tensor nodes has k + 1 leaves
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        while isinstance(t, Tensor):
-            size += 2
-            stack.append(t.right)
-            t = t.left
-    return size
-
-
 # --- rendering ---------------------------------------------------------------
 
 
 def render_term(t: Term) -> str:
-    if isinstance(t, Atom):
-        return t.name
-    if isinstance(t, Unit):
-        return "1"
-    left = render_term(t.left)
-    right = render_term(t.right)
-    if isinstance(t.right, Tensor):
-        right = f"({right})"
-    return f"{left} * {right}"
+    """``*`` unbracketed on the left and bracketed on the right, so the text
+    parses back to ``t``; built from an explicit stack, so any depth renders."""
+    out: list[str] = []
+    stack: list[Term | str] = [t]
+    while stack:
+        t = stack.pop()
+        while type(t) is Tensor:  # walk the left spine, leaving right factors
+            stack += (")", t.right, " * (") if type(t.right) is Tensor else (t.right, " * ")
+            t = t.left
+        out.append(t if type(t) is str else t.name if type(t) is Atom else "1")
+    return "".join(out)
 
 
 def render_inference(inf: Inference) -> str:
@@ -250,25 +270,32 @@ class _TokenStream:
 _STRUCTURAL = {"(", ")", "*", ",", "|-", "1"}
 
 
-def _parse_factor(ts: _TokenStream) -> Term:
-    tok = ts.next()
-    if tok == "(":
-        t = _parse_term_tokens(ts)
-        ts.expect(")")
-        return t
-    if tok == "1":
-        return UNIT
-    if tok in _STRUCTURAL or tok[0].isdigit():
-        raise ParseError(f"expected a term, got {tok!r}")
-    return Atom(tok)
-
-
 def _parse_term_tokens(ts: _TokenStream) -> Term:
-    t = _parse_factor(ts)
-    while ts.peek() == "*":
-        ts.next()
-        t = Tensor(t, _parse_factor(ts))
-    return t
+    """A left-associated term read from ``ts``.  An open bracket pushes the
+    partial term before it on an explicit stack, so any nesting parses."""
+    outer: list[Term | None] = []
+    acc: Term | None = None  # the partial term inside the innermost open bracket
+    while True:
+        tok = ts.next()
+        if tok == "(":
+            outer.append(acc)
+            acc = None
+            continue
+        if tok == "1":
+            t = UNIT
+        elif tok in _STRUCTURAL or tok[0].isdigit():
+            raise ParseError(f"expected a term, got {tok!r}")
+        else:
+            t = Atom(tok)
+        while True:  # attach the factor, then close every bracket that ends here
+            acc = t if acc is None else Tensor(acc, t)
+            if ts.peek() == "*":
+                ts.next()
+                break
+            if not outer:
+                return acc
+            ts.expect(")")
+            t, acc = acc, outer.pop()
 
 
 def parse_term(text: str) -> Term:

@@ -245,8 +245,15 @@ def encode_conversion(theory: Theory, style: str) -> Theory:
     ``style`` is ``"negativeFrom"`` (negate each conversion's source) or
     ``"negativeTo"`` (negate its target).  Each conversion ``A -> B`` becomes
     the available term ``N (x) B`` and the disposable term ``A (x) N`` where
-    ``N`` is the fresh negative atom.  Provability of inferences not
-    mentioning negative atoms is unchanged.
+    ``N`` is the fresh negative atom.
+
+    The encoding lets a conversion's target be used before its source is
+    held, so it is an integer relaxation: the encoded theory proves an
+    inference that mentions no negative atom exactly when the original
+    theory's balance equation has a non-negative integer solution, which
+    the original theory need not realise.  In ``atoms B C D E ; convert B *
+    C -> D ; convert D -> B * E ;`` no conversion can ever fire from ``C``,
+    yet ``C |- E`` is provable under either encoding.
     """
     if style not in ("negativeFrom", "negativeTo"):
         raise ValueError(f"style must be 'negativeFrom' or 'negativeTo', got {style!r}")
@@ -481,14 +488,17 @@ class TheoryVerdict:
     witness: Proof | None = None
 
 
-def decide_in_theory(theory: Theory, inference: Inference, cap: int = 16) -> TheoryVerdict:
-    """Decide ``inference`` in ``theory``, trying at most ``cap`` axiom uses.
+def decide_in_theory(theory: Theory, inference: Inference, cap: int = 16, mode: Mode = Mode.T) -> TheoryVerdict:
+    """Decide ``inference`` in ``theory`` in ``mode``, trying at most ``cap``
+    axiom uses.
 
-    ``not-provable`` is sound: a proof's conclusion has the balance of the sum
-    of its axiom leaves' columns, so when :func:`balance_feasible` finds no
-    non-negative solution, conversion columns included, no proof exists.
-    ``unknown`` means no balanced solution up to the cap had a valid
-    conversion order.
+    ``not-provable`` is sound in both modes: a proof's conclusion has the
+    balance of the sum of its axiom leaves' columns, so when
+    :func:`balance_feasible` finds no non-negative solution, conversion
+    columns included, no proof exists.  In mode ``t``, ``unknown`` means no
+    balanced solution up to the cap had a valid conversion order.  The
+    witnesses are mode-``t`` proofs, so in mode ``tprime`` every balanced
+    inference is ``unknown``.
     """
     for t in inference.antecedent:
         _check_declared(theory.atoms, t, "inference")
@@ -497,6 +507,8 @@ def decide_in_theory(theory: Theory, inference: Inference, cap: int = 16) -> The
     n_av, n_di = len(theory.available), len(theory.disposable)
     if not balance_feasible(theory, inference):
         return TheoryVerdict("not-provable", cap)
+    if mode is not Mode.T:
+        return TheoryVerdict("unknown", cap)
 
     start_base = atom_vector(inference.antecedent)
     for sol in _balanced_solutions(theory, inference, cap):

@@ -88,6 +88,25 @@ def test_theory_decide_paper_examples(capsys):
         assert code == expected, (path, inference)
 
 
+def test_theory_decide_honours_tprime(capsys, tmp_path):
+    """A mode-``t`` witness is no ``tprime`` proof: the ``tprime`` answer is
+    ``unknown``, never ``provable``."""
+    theory = tmp_path / "t.thy"
+    theory.write_text("atoms A C ; free C ;")
+    argv = ("--theory", str(theory), "theory", "decide", "A * C |- C * A")
+    assert run(capsys, *argv)[0] == EXIT_YES
+    assert run(capsys, "--mode", "tprime", *argv)[:2] == (EXIT_UNKNOWN, "unknown\n")
+    assert run(capsys, "--mode", "tprime", "decide", "A * C |- C * A")[0] == EXIT_NO
+
+
+def test_decide_deep_right_comb(capsys):
+    """The parser does not recurse, so a 10,000-deep right comb is answered."""
+    n = 10_000
+    comb = " * (".join(f"A{i}" for i in range(n)) + ")" * (n - 1)
+    assert run(capsys, "decide", f"{comb} |- {comb}")[0] == EXIT_YES
+    assert run(capsys, "decide", f"{comb} |- {comb} * A0")[0] == EXIT_NO
+
+
 def test_theory_decide_json_payload(capsys):
     code, out, _ = run(
         capsys, "--json", "--theory", "theories/cloning.thy", "theory", "decide", "C |- C * C"

@@ -21,7 +21,7 @@ from tensorlogic import (
     synthesize_proof,
 )
 from tensorlogic.kernel import Cut, render_proof
-from tensorlogic.terms import Tensor, atom_list, atom_vector, tensor_of, term_size
+from tensorlogic.terms import Tensor, atom_list, atom_vector, tensor_of
 from tensorlogic.theory import parse_theory
 
 from helpers import random_balanced_inference, random_inference, random_proof
@@ -100,9 +100,7 @@ def test_decide_criteria_shapes():
 
 
 def test_decide_deep_combs():
-    """Term traversals do not recurse, so size alone cannot crash ``decide``.
-
-    The combs are built directly: the parser still recurses on brackets."""
+    """Term traversals do not recurse, so size alone cannot crash ``decide``."""
     n = 10_000
     atoms = [Atom(f"A{i}") for i in range(n)]
     left = tensor_of(atoms)
@@ -112,7 +110,7 @@ def test_decide_deep_combs():
     names = [a.name for a in atoms]
     for comb in (left, right):
         assert atom_list(comb) == names
-        assert term_size(comb) == 2 * n - 1
+        assert comb.size == 2 * n - 1
     reversed_left = tensor_of(reversed(atoms))
     for mode in (Mode.T, Mode.TPRIME):
         assert decide(Inference((left,), right), mode) is Decision.PROVABLE

@@ -1,7 +1,9 @@
+import copy
 import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from tensorlogic import (
     Inference,
     ParseError,
     Tensor,
+    Unit,
     atom_list,
     atom_vector,
     parse_inference,
@@ -93,8 +96,8 @@ def test_render_parenthesisation():
 
 
 def test_deep_terms_hash():
-    """A term's hash is built from its children's kept hashes, so hashing a
-    deep comb does not recurse, alone or inside an ``Inference``."""
+    """A term's hash is its identity, so hashing a deep comb does not
+    recurse, alone or inside an ``Inference``."""
     comb = tensor_of(Atom(f"A{i}") for i in range(10_000))
     assert hash(comb) == hash(comb)
     inf = Inference((comb,), comb)
@@ -104,16 +107,16 @@ def test_deep_terms_hash():
 def test_equal_terms_hash_equal():
     text = "A * (B * 1) * (Q(0.5) * (C * A)), B |- (A * B) * 1"
     first, second = parse_inference(text), parse_inference(text)
-    assert first.consequent is not second.consequent
+    assert first.consequent is second.consequent
     assert first == second and hash(first) == hash(second)
     for x, y in zip(first.antecedent, second.antecedent):
         assert hash(x) == hash(y)
 
 
 def test_unpickled_terms_rehash():
-    """A term's kept hash is not pickled, since string hashes differ between
-    processes: a term hashed and pickled under another hash seed is still
-    found in a set of equal terms."""
+    """Unpickling rebuilds a term through its constructor, so a term hashed
+    and pickled under another hash seed, where string hashes differ, comes
+    back as the live term and is found in a set of equal terms."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONHASHSEED="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -126,3 +129,126 @@ def test_unpickled_terms_rehash():
     )
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True).stdout
     assert pickle.loads(out) in {parse_term("A * (B * C)")}
+    assert pickle.loads(out) is parse_term("A * (B * C)")
+
+
+def _right_comb(names):
+    out = Atom(names[-1])
+    for name in reversed(names[:-1]):
+        out = Tensor(Atom(name), out)
+    return out
+
+
+def test_equal_terms_are_one_object():
+    assert Atom("A") is Atom("A")
+    assert Unit() is UNIT
+    assert Tensor(Atom("A"), Unit()) is Tensor(Atom("A"), UNIT)
+    assert parse_term("A * (B * 1)") is Tensor(Atom("A"), Tensor(Atom("B"), UNIT))
+    assert Tensor(left=Atom("A"), right=Atom("B")) is parse_term("A * B")
+    assert Tensor(Atom("A"), Atom("B")) is not Tensor(Atom("B"), Atom("A"))
+
+
+def test_deep_equal_terms_compare():
+    """``==`` is identity, so two separately built 10,000-atom combs compare
+    without recursion, alone or inside an ``Inference``."""
+    names = [f"A{i}" for i in range(10_000)]
+    for build in (lambda: tensor_of(Atom(n) for n in names), lambda: _right_comb(names)):
+        first, second = build(), build()
+        assert first == second and first is second
+        assert Inference((first,), second) == Inference((second,), first)
+    assert tensor_of(Atom(n) for n in names) != _right_comb(names)
+
+
+def _walk_size(t):
+    return 1 + _walk_size(t.left) + _walk_size(t.right) if isinstance(t, Tensor) else 1
+
+
+@given(terms_st)
+def test_size_and_occurrences_fields(t):
+    assert t.size == _walk_size(t)
+    assert t.occurrences == len(atom_list(t))
+
+
+def test_threads_that_race_share_one_term():
+    """Threads that build the same new terms at once end with one object
+    per term: a lost race in the intern tables would give two."""
+    n_threads, names = 4, [f"Race{i}" for i in range(3_000)]
+    built = [None] * n_threads
+    start = threading.Barrier(n_threads)
+
+    def build(k):
+        start.wait()
+        built[k] = [Tensor(Atom(x), Tensor(Atom(x), UNIT)) for x in names]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for terms in built[1:]:
+        assert all(x is y for x, y in zip(terms, built[0], strict=True))
+
+
+def test_pickle_and_copy_return_the_live_term():
+    for t in (Atom("Q(0.5)"), UNIT, parse_term("A * (B * 1) * C")):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(t, protocol)) is t
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+
+
+def test_terms_are_immutable():
+    t = parse_term("A * B")
+    for term, field in ((t.left, "name"), (UNIT, "size"), (t, "left"), (t, "size"), (t, "occurrences")):
+        with pytest.raises(AttributeError):
+            setattr(term, field, Atom("C"))
+        with pytest.raises(AttributeError):
+            delattr(term, field)
+    assert t == Tensor(Atom("A"), Atom("B")) and t.size == 3
+
+
+def test_parse_deep_terms():
+    """The parser keeps open brackets on an explicit stack, so nesting depth
+    cannot crash it."""
+    n = 10_000
+    names = [f"A{i}" for i in range(n)]
+    right = _right_comb(names)
+    assert parse_term(" * (".join(names) + ")" * (n - 1)) is right
+    assert parse_term("(" * n + "A" + ")" * n) is Atom("A")
+    assert parse_inference(f"{render_term(right)} |- {render_term(right)}") == Inference((right,), right)
+    with pytest.raises(ParseError, match="unexpected end of input"):
+        parse_term("(" * n + "A")
+
+
+def test_render_deep_terms():
+    n = 10_000
+    names = [f"A{i}" for i in range(n)]
+    left, right = tensor_of(Atom(x) for x in names), _right_comb(names)
+    assert render_term(left) == " * ".join(names)
+    assert render_term(right) == " * (".join(names[:-1]) + " * " + names[-1] + ")" * (n - 2)
+    for t in (left, right):
+        assert parse_term(render_term(t)) is t
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected end of input"),
+        ("A *", "unexpected end of input"),
+        ("(A", "unexpected end of input"),
+        ("* A", "expected a term, got '\\*'"),
+        ("()", "expected a term, got '\\)'"),
+        ("(A B)", "expected '\\)', got 'B'"),
+        ("A)", "trailing input after term: '\\)'"),
+        ("A * 0", "expected a term, got '0'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_term(text)

@@ -240,6 +240,20 @@ def test_encoded_theory_decides_the_same():
     assert decide_in_theory(enc, inf, 16).status == "provable"
 
 
+def test_encode_conversion_is_an_integer_relaxation():
+    """No conversion can fire from ``C`` (nothing makes ``B`` or ``D``), but
+    the balance equation has the integer solution "each conversion once", and
+    each encoding realises it."""
+    th = parse_theory("atoms B C D E ; convert B * C -> D ; convert D -> B * E ;")
+    inf = parse_inference("C |- E")
+    assert decide_in_theory(th, inf, 20).status == "unknown"
+    for style in ("negativeFrom", "negativeTo"):
+        enc = encode_conversion(th, style)
+        verdict = decide_in_theory(enc, inf, 20)
+        assert verdict.status == "provable"
+        assert check(verdict.witness, Mode.T, enc) == inf
+
+
 def test_lift_requires_conversion_free():
     th = load_theory("theories/locc.thy")
     with pytest.raises(ConversionPresent):
@@ -305,3 +319,42 @@ def test_undeclared_inference_atoms_rejected():
     th = parse_theory("atoms A ;")
     with pytest.raises(UndeclaredAtom):
         decide_in_theory(th, parse_inference("B |- B"), 4)
+
+
+def test_theory_decision_in_tprime():
+    """The witnesses are mode-``t`` proofs, so in ``tprime`` a balanced
+    inference is ``unknown``; the balance refutation holds in both modes."""
+    th = parse_theory("atoms A C ; free C ;")
+    inf = parse_inference("A * C |- C * A")
+    assert decide_in_theory(th, inf).status == "provable"
+    assert decide_in_theory(th, inf, mode=Mode.T).status == "provable"
+    assert decide_in_theory(th, inf, mode=Mode.TPRIME).status == "unknown"
+    assert decide_in_theory(th, parse_inference("A |- C"), mode=Mode.TPRIME).status == "not-provable"
+
+
+def _random_theory(rng):
+    names = ["A", "B", "C"]
+    term = lambda: random_term(rng, names, depth=1)
+    return make_theory(
+        names,
+        [term() for _ in range(rng.randrange(3))],
+        [term() for _ in range(rng.randrange(3))],
+        [(term(), term()) for _ in range(rng.randrange(3))],
+    )
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_theory_verdicts_hold_in_their_mode(seed):
+    """Over random theories with conversions: in mode ``t`` every witness
+    checks and concludes the inference; in ``tprime`` no verdict is
+    ``provable``; in both, ``not-provable`` is the balance refutation."""
+    rng = random.Random(seed)
+    theory = _random_theory(rng)
+    inf = Inference(tuple(random_term(rng, depth=1) for _ in range(rng.randrange(3))), random_term(rng, depth=1))
+    for mode in (Mode.T, Mode.TPRIME):
+        verdict = decide_in_theory(theory, inf, 6, mode)
+        if verdict.status == "provable":
+            assert mode is Mode.T
+            assert check(verdict.witness, Mode.T, theory) == inf
+        assert (verdict.status == "not-provable") is not balance_feasible(theory, inf)
