@@ -13,8 +13,6 @@ comparing composite morphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .decision import is_provable, synthesize_proof
 from .kernel import (
     Exchange,
@@ -28,15 +26,20 @@ from .kernel import (
     identity_proof,
     tensor_proofs,
 )
-from .terms import UNIT, Inference, Tensor, Term, render_term, tensor_of
+from .terms import UNIT, Inference, Tensor, Term, _Frozen, _set, render_term, tensor_of
 
 
-@dataclass(frozen=True)
-class Morphism:
-    source: Term
-    target: Term
-    mode: Mode
-    proof: Proof = field(compare=False)  # a checked proof of source |- target
+class Morphism(_Frozen):
+    __slots__ = ("source", "target", "mode", "proof")
+
+    def __init__(self, source: Term, target: Term, mode: Mode, proof: Proof):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "mode", mode)
+        _set(self, "proof", proof)  # a checked proof of source |- target
+
+    def _key(self) -> tuple:  # the category is thin: the proof is not compared
+        return self.source, self.target, self.mode
 
     def __repr__(self) -> str:
         return f"Morphism({render_term(self.source)} -> {render_term(self.target)})"

@@ -2,20 +2,21 @@
 
 Exit codes: 0 provable / valid / all diagrams hold, 1 not provable / invalid,
 2 unknown (search or cap exhausted), 3 input error, 4 internal error.
+
+Every command needs ``terms`` and ``kernel`` (inputs, the mode, proofs and
+their errors), so only they load up front.  Each command imports the rest
+of what it runs where it runs, since a process runs one command and pays
+for every module it loads (``json`` only under ``--json``).
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 
-from . import category, monoid, theory as theory_mod
-from .decision import Decision, NotProvableError, bounded_search, decide, synthesize_proof
 from .kernel import Mode, ProofError, check, cut_paths, parse_proof, render_proof
 from .terms import UNIT, Atom, ParseError, parse_inference, render_inference
-from .transforms import canonicalize, eliminate_cuts, proofs_equivalent
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -34,11 +35,19 @@ def _mode(args) -> Mode:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    print(json.dumps(payload) if args.json else text)
+    if args.json:
+        import json
+
+        text = json.dumps(payload)
+    print(text)
 
 
 def _load_theory(args):
-    return theory_mod.load_theory(args.theory) if args.theory else None
+    if not args.theory:
+        return None
+    from .theory import load_theory
+
+    return load_theory(args.theory)
 
 
 def _read(path: str) -> str:
@@ -64,6 +73,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_decide(args) -> int:
+    from .decision import Decision, decide
+
     inference = parse_inference(args.inference)
     verdict = decide(inference, _mode(args))
     _emit(args, {"verdict": verdict.value}, verdict.value)
@@ -71,6 +82,8 @@ def cmd_decide(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from .decision import NotProvableError, synthesize_proof
+
     inference = parse_inference(args.inference)
     try:
         proof = synthesize_proof(inference, _mode(args))
@@ -82,6 +95,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .decision import bounded_search
+
     inference = parse_inference(args.inference)
     result = bounded_search(inference, _mode(args), args.max_nodes, _load_theory(args))
     if result.found:
@@ -92,6 +107,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_elim_cut(args) -> int:
+    from .transforms import eliminate_cuts
+
     proof = parse_proof(_read(args.proof))
     mode = _mode(args)
     check(proof, mode, _load_theory(args))
@@ -106,6 +123,8 @@ def cmd_elim_cut(args) -> int:
 
 
 def cmd_canon(args) -> int:
+    from .transforms import canonicalize
+
     proof = parse_proof(_read(args.proof))
     out = canonicalize(proof, _mode(args))
     _emit(args, {"proof": render_proof(out)}, render_proof(out))
@@ -113,6 +132,8 @@ def cmd_canon(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from .transforms import proofs_equivalent
+
     p1 = parse_proof(_read(args.proof1))
     p2 = parse_proof(_read(args.proof2))
     same = proofs_equivalent(p1, p2, _mode(args))
@@ -121,11 +142,13 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_theory_decide(args) -> int:
+    from .theory import decide_in_theory
+
     if not args.theory:
         raise ParseError("theory decide requires --theory FILE")
     th = _load_theory(args)
     inference = parse_inference(args.inference)
-    verdict = theory_mod.decide_in_theory(th, inference, args.cap, _mode(args))
+    verdict = decide_in_theory(th, inference, args.cap, _mode(args))
     payload = {"verdict": verdict.status, "cap": verdict.cap}
     text = verdict.status
     if verdict.status == "provable":
@@ -137,6 +160,8 @@ def cmd_theory_decide(args) -> int:
 
 
 def cmd_model_check(args) -> int:
+    from . import monoid
+
     model = monoid.parse_model(_read(args.model))
     violations = monoid.validate_model(model)
     if violations:
@@ -149,6 +174,8 @@ def cmd_model_check(args) -> int:
 
 
 def cmd_coherence_sweep(args) -> int:
+    from . import category
+
     mode = _mode(args)
     atoms = [Atom(f"P{i}") for i in range(args.max_atoms)]
     objects = tuple(atoms) + (UNIT,)
@@ -236,12 +263,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that mean bad input.  A ``TheoryError`` can only come
+    from a loaded ``theory`` module, so it is looked up, not imported."""
+    theory = sys.modules.get(f"{__package__}.theory")
+    return (ParseError, OSError) + ((theory.TheoryError,) if theory else ())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, theory_mod.TheoryError, OSError) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ProofError as exc:

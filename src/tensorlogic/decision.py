@@ -16,7 +16,6 @@ import enum
 import sys
 from collections import Counter
 from itertools import accumulate
-from dataclasses import dataclass
 
 from .kernel import (
     ConvAxiom,
@@ -32,7 +31,7 @@ from .kernel import (
     RTensor,
     RUnit,
 )
-from .terms import UNIT, Atom, Inference, Tensor, Term, Unit, atom_list
+from .terms import UNIT, Atom, Inference, Tensor, Term, Unit, _Record, atom_list
 
 
 class Decision(enum.Enum):
@@ -125,17 +124,22 @@ def synthesize_proof(inference: Inference, mode: Mode) -> Proof:
 # --- bounded backward search -------------------------------------------------
 
 
-@dataclass
-class SearchResult:
-    found: bool
-    proof: Proof | None = None
+class SearchResult(_Record):
+    __slots__ = ("found", "proof")
+
+    def __init__(self, found: bool, proof: Proof | None = None):
+        self.found = found
+        self.proof = proof
 
 
 def _subterms(term: Term, acc: set[Term]) -> None:
-    acc.add(term)
-    if isinstance(term, Tensor):
-        _subterms(term.left, acc)
-        _subterms(term.right, acc)
+    """Add ``term`` and its subterms to ``acc``, which holds the subterms of
+    each term it holds."""
+    if term not in acc:
+        acc.add(term)
+        if isinstance(term, Tensor):
+            _subterms(term.left, acc)
+            _subterms(term.right, acc)
 
 
 _Goal = tuple[tuple[Term, ...], Term]
@@ -176,6 +180,8 @@ class Prover:
     - ``_axiom_terms``: ``1`` and the subterms of the theory's axioms, the
       cut terms that every goal shares, built once;
     - ``_candidates``: goal -> its sorted cut terms;
+    - ``_sort_keys``: term -> its ``(size, text)`` cut-term order key;
+    - ``_subsets``: antecedent length -> its ``_selections`` without a total;
     - ``_spans``: antecedent length -> its cut spans.
     """
 
@@ -188,6 +194,8 @@ class Prover:
             for x in (*theory.available, *theory.disposable, *(t for conv in theory.conversions for t in conv)):
                 _subterms(x, self._axiom_terms)
         self._candidates: dict[_Goal, list[Term]] = {}
+        self._sort_keys: dict[Term, tuple[int, str]] = {}
+        self._subsets: dict[int, list[tuple[list[int], list[int]]]] = {}
         self._spans: dict[int, list[_Span]] = {}
 
     def prove(self, inference: Inference, max_nodes: int) -> SearchResult:
@@ -217,8 +225,14 @@ class Prover:
             for item in goal[0]:
                 _subterms(item, acc)
             _subterms(goal[1], acc)
-            terms = self._candidates[goal] = sorted(acc, key=lambda t: (t.size, str(t)))
+            terms = self._candidates[goal] = sorted(acc, key=self._sort_key)
         return terms
+
+    def _sort_key(self, t: Term) -> tuple[int, str]:
+        key = self._sort_keys.get(t)
+        if key is None:
+            key = self._sort_keys[t] = (t.size, str(t))
+        return key
 
     @staticmethod
     def _block_move_chain(perm: list[int]) -> list[Exchange]:
@@ -372,7 +386,7 @@ class Prover:
         the splits whose left part carries as many occurrences as ``left``."""
         total = None if self.theory is not None else left.occurrences
         if self.mode is Mode.T:
-            return self._selections(counts, total)
+            return self._all_subsets(counts) if total is None else self._selections(counts, total)
         n = len(counts)
         prefix = [0, *accumulate(counts)]
         return [
@@ -405,6 +419,14 @@ class Prover:
                     cut = wrap(cut, self._block_move_chain(delta_pos + gamma_pos))
                 consider(cut, 1 + m1[1] + m2[1] + moves)
 
+    def _all_subsets(self, counts: list[int]) -> list[tuple[list[int], list[int]]]:
+        """``_selections(counts)``, which depends only on ``len(counts)``;
+        shared, so callers must not change the lists."""
+        subsets = self._subsets.get(len(counts))
+        if subsets is None:
+            subsets = self._subsets[len(counts)] = self._selections(counts)
+        return subsets
+
     def _cut_spans(self, counts: list[int]) -> list[_Span]:
         """Cut antecedent selections ``(gamma_pos, delta_pos, lo, moves)``,
         which depend only on the antecedent's length: any order-preserving
@@ -417,7 +439,7 @@ class Prover:
             if self.mode is Mode.T:
                 spans = [
                     (inside, outside, None, self._chain_length(outside, inside))
-                    for inside, outside in self._selections(counts)
+                    for inside, outside in self._all_subsets(counts)
                 ]
             else:
                 spans = [

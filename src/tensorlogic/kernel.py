@@ -17,9 +17,8 @@ where ``POS`` is omitted for Cut in mode ``T``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .terms import (
     UNIT,
@@ -30,7 +29,9 @@ from .terms import (
     Term,
     Unit,
     _lex,
+    _Frozen,
     _parse_term_tokens,
+    _set,
     _STRUCTURAL,
     _TokenStream,
     render_term,
@@ -72,57 +73,92 @@ class AxiomNotLicensed(ProofError):
 # --- rule applications -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Id:
-    atom: Atom
+class _Rule(_Frozen):
+    """A rule application.  Rules are hash-consed like terms: a constructor
+    returns the one live rule with its fields from a per-class table filled
+    with ``setdefault``, so ``==`` and ``hash`` are identity, and pickling
+    and copying go through the constructor."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init_subclass__(cls) -> None:
+        cls._live = {}  # the key of a rule's fields -> the live rule
+
+    @classmethod
+    def _intern(cls, key, *values):
+        rule = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _set(rule, name, value)
+        return cls._live.setdefault(key, rule)
+
+    def __new__(cls):  # a rule without fields
+        return cls._live.get(()) or cls._intern(())
 
 
-@dataclass(frozen=True)
-class RUnit:
-    pass
+class Id(_Rule):
+    __slots__ = ("atom",)
+
+    def __new__(cls, atom: Atom):
+        return cls._live.get(atom) or cls._intern(atom, atom)
 
 
-@dataclass(frozen=True)
-class LUnit:
-    position: int
+class RUnit(_Rule):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LTensor:
-    position: int
+class LUnit(_Rule):
+    __slots__ = ("position",)
+
+    def __new__(cls, position: int):
+        return cls._live.get(position) or cls._intern(position, position)
 
 
-@dataclass(frozen=True)
-class RTensor:
-    pass
+class LTensor(_Rule):
+    __slots__ = ("position",)
+
+    def __new__(cls, position: int):
+        return cls._live.get(position) or cls._intern(position, position)
 
 
-@dataclass(frozen=True)
-class Cut:
-    position: int | None = None
+class RTensor(_Rule):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exchange:
-    i: int
-    j: int
-    k: int
+class Cut(_Rule):
+    __slots__ = ("position",)
+
+    def __new__(cls, position: int | None = None):
+        return cls._live.get(position) or cls._intern(position, position)
 
 
-@dataclass(frozen=True)
-class RAxiom:
-    term: Term
+class Exchange(_Rule):
+    __slots__ = ("i", "j", "k")
+
+    def __new__(cls, i: int, j: int, k: int):
+        return cls._live.get((i, j, k)) or cls._intern((i, j, k), i, j, k)
 
 
-@dataclass(frozen=True)
-class LAxiom:
-    term: Term
+class RAxiom(_Rule):
+    __slots__ = ("term",)
+
+    def __new__(cls, term: Term):
+        return cls._live.get(term) or cls._intern(term, term)
 
 
-@dataclass(frozen=True)
-class ConvAxiom:
-    source: Term
-    target: Term
+class LAxiom(_Rule):
+    __slots__ = ("term",)
+
+    def __new__(cls, term: Term):
+        return cls._live.get(term) or cls._intern(term, term)
+
+
+class ConvAxiom(_Rule):
+    __slots__ = ("source", "target")
+
+    def __new__(cls, source: Term, target: Term):
+        return cls._live.get((source, target)) or cls._intern((source, target), source, target)
 
 
 RuleApp = Union[Id, RUnit, LUnit, LTensor, RTensor, Cut, Exchange, RAxiom, LAxiom, ConvAxiom]
@@ -130,7 +166,7 @@ RuleApp = Union[Id, RUnit, LUnit, LTensor, RTensor, Cut, Exchange, RAxiom, LAxio
 # rule class -> (s-expression head, premise count, (name, kind) of each field);
 # a kind is "atom", "int", "int?" (a None is not written) or "term"
 _RULES = {
-    cls: (head, premises, tuple(zip([f.name for f in fields(cls)], kinds)))
+    cls: (head, premises, tuple(zip(cls.__slots__, kinds)))
     for cls, head, premises, kinds in (
         (Id, "id", 0, ("atom",)),
         (RUnit, "r1", 0, ()),
@@ -146,13 +182,40 @@ _RULES = {
 }
 
 
-@dataclass(frozen=True)
-class Proof:
-    rule: RuleApp
-    premises: tuple["Proof", ...] = ()
+class Proof(_Frozen):
+    """A proof tree.  ``==``, ``hash`` and ``size`` walk it with an explicit
+    stack, so any depth compares."""
+
+    __slots__ = ("rule", "premises")
+
+    def __init__(self, rule: RuleApp, premises: tuple[Proof, ...] = ()):
+        _set(self, "rule", rule)
+        _set(self, "premises", premises)
+
+    def _nodes(self) -> Iterator[Proof]:
+        stack = [self]
+        while stack:
+            p = stack.pop()
+            yield p
+            stack += p.premises
 
     def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
+        return sum(1 for _ in self._nodes())
+
+    def __hash__(self) -> int:
+        return hash(tuple(p.rule for p in self._nodes()))
+
+    def __eq__(self, other):
+        if type(other) is not Proof:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if a.rule != b.rule or len(a.premises) != len(b.premises):
+                    return False
+                stack += zip(a.premises, b.premises)
+        return True
 
 
 NodePath = tuple[int, ...]

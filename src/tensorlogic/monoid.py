@@ -25,19 +25,27 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
-from .terms import Atom, Inference, ParseError, Term, Unit, atom_vector
+from .terms import Atom, Inference, ParseError, Term, Unit, _Record, atom_vector
 
 
-@dataclass
-class MonoidModel:
-    elements: tuple[str, ...]
-    unit: str
-    op: dict[tuple[str, str], str]
-    leq: frozenset[tuple[str, str]]
-    valuation: dict[str, str]
+class MonoidModel(_Record):
+    __slots__ = ("elements", "unit", "op", "leq", "valuation")
+
+    def __init__(
+        self,
+        elements: tuple[str, ...],
+        unit: str,
+        op: dict[tuple[str, str], str],
+        leq: frozenset[tuple[str, str]],
+        valuation: dict[str, str],
+    ):
+        self.elements = elements
+        self.unit = unit
+        self.op = op
+        self.leq = leq
+        self.valuation = valuation
 
     def mul(self, a: str, b: str) -> str:
         return self.op[(a, b)]

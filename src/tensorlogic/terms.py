@@ -25,12 +25,14 @@ it builds.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 
 class ParseError(ValueError):
     """Raised when term, inference, proof, or file syntax is malformed."""
+
+
+_set = object.__setattr__  # how immutable objects fill in their fields
 
 
 class _Term:
@@ -52,7 +54,7 @@ class Atom(_Term):
         atom = _ATOMS.get(name)
         if atom is None:
             atom = object.__new__(cls)
-            object.__setattr__(atom, "name", name)
+            _set(atom, "name", name)
             atom = _ATOMS.setdefault(name, atom)
         return atom
 
@@ -85,16 +87,25 @@ class Tensor(_Term):
         t = _TENSORS.get((left, right))
         if t is None:
             t = object.__new__(cls)
-            init = object.__setattr__
-            init(t, "left", left)
-            init(t, "right", right)
-            init(t, "size", left.size + right.size + 1)
-            init(t, "occurrences", left.occurrences + right.occurrences)
+            _set(t, "left", left)
+            _set(t, "right", right)
+            _set(t, "size", left.size + right.size + 1)
+            _set(t, "occurrences", left.occurrences + right.occurrences)
             t = _TENSORS.setdefault((left, right), t)
         return t
 
     def __repr__(self) -> str:
-        return f"Tensor(left={self.left!r}, right={self.right!r})"
+        """``Tensor(left=..., right=...)``, built from an explicit stack."""
+        out: list[str] = []
+        stack: list[Term | str] = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is Tensor:
+                out.append("Tensor(left=")
+                stack += (")", t.right, ", right=", t.left)
+            else:
+                out.append(t if type(t) is str else repr(t))
+        return "".join(out)
 
     def __reduce__(self):
         return Tensor, (self.left, self.right)
@@ -107,12 +118,53 @@ _ATOMS: dict[str, Atom] = {}  # name -> the live atom
 _TENSORS: dict[tuple[Term, Term], Tensor] = {}  # (left, right) -> the live tensor
 
 
-@dataclass(frozen=True)
-class Inference:
+class _Record:
+    """A record whose fields are its class's ``__slots__``: it shows,
+    compares and pickles field by field, as a dataclass would, and is
+    mutable and unhashable.  Each record class writes its own ``__init__``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    _key = _fields  # what ``==`` and ``hash`` compare
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class _Frozen(_Record):
+    """An immutable, hashable record."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _Term.__setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Inference(_Frozen):
     """A sequent ``A1, ..., Ak |- B``; the antecedent may be empty."""
 
-    antecedent: tuple[Term, ...]
-    consequent: Term
+    __slots__ = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: tuple[Term, ...], consequent: Term):
+        _set(self, "antecedent", antecedent)
+        _set(self, "consequent", consequent)
+
+    def _key(self) -> tuple:  # spelt out: conclusions are compared often
+        return self.antecedent, self.consequent
 
     def __str__(self) -> str:
         return render_inference(self)

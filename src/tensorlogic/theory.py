@@ -36,7 +36,6 @@ tolerance, and the package needs no numeric library.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
 
@@ -59,6 +58,9 @@ from .terms import (
     ParseError,
     Tensor,
     Term,
+    _Frozen,
+    _Record,
+    _set,
     atom_list,
     atom_vector,
     parse_term,
@@ -87,12 +89,20 @@ class EncodingError(TheoryError):
     pass
 
 
-@dataclass(frozen=True)
-class Theory:
-    atoms: frozenset[str]
-    available: tuple[Term, ...] = ()
-    disposable: tuple[Term, ...] = ()
-    conversions: tuple[tuple[Term, Term], ...] = ()
+class Theory(_Frozen):
+    __slots__ = ("atoms", "available", "disposable", "conversions")
+
+    def __init__(
+        self,
+        atoms: frozenset[str],
+        available: tuple[Term, ...] = (),
+        disposable: tuple[Term, ...] = (),
+        conversions: tuple[tuple[Term, Term], ...] = (),
+    ):
+        _set(self, "atoms", atoms)
+        _set(self, "available", available)
+        _set(self, "disposable", disposable)
+        _set(self, "conversions", conversions)
 
     def is_available(self, term: Term) -> bool:
         return term in self.available
@@ -480,12 +490,14 @@ def build_witness(
 # --- the decision procedure --------------------------------------------------
 
 
-@dataclass
-class TheoryVerdict:
-    status: str  # "provable" | "not-provable" | "unknown"
-    cap: int
-    counts: dict | None = None
-    witness: Proof | None = None
+class TheoryVerdict(_Record):
+    __slots__ = ("status", "cap", "counts", "witness")
+
+    def __init__(self, status: str, cap: int, counts: dict | None = None, witness: Proof | None = None):
+        self.status = status  # "provable" | "not-provable" | "unknown"
+        self.cap = cap
+        self.counts = counts
+        self.witness = witness
 
 
 def decide_in_theory(theory: Theory, inference: Inference, cap: int = 16, mode: Mode = Mode.T) -> TheoryVerdict:

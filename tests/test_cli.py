@@ -154,12 +154,21 @@ def test_input_errors_exit_3(capsys):
     assert exc.value.code == EXIT_INPUT
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter from the repository root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def test_theory_decide_imports_no_numeric_stack():
     """A fresh CLI process decides in a theory without importing SciPy or
     NumPy, which would add most of a second to every start-up."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     script = (
         "import sys\n"
         "from tensorlogic.cli import main\n"
@@ -167,11 +176,80 @@ def test_theory_decide_imports_no_numeric_stack():
         " for t in ('E * Q_A |- Q_B', 'E |- E * E')]\n"
         "print(codes, sorted(m for m in ('scipy', 'numpy') if m in sys.modules))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"[{EXIT_YES}, {EXIT_NO}] []"
+
+
+def test_each_command_imports_only_its_modules():
+    """``import tensorlogic`` loads no submodule, and ``decide`` loads only
+    ``cli``, ``terms``, ``kernel`` and ``decision``, and neither
+    ``dataclasses`` nor ``json``: a process pays for what it runs."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import tensorlogic\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tensorlogic.')))\n"
+        "from tensorlogic.cli import main\n"
+        "code = main(['decide', 'A |- A'])\n"
+        "print(code, sorted(m for m in set(sys.modules) - before if m.startswith('tensorlogic.')))\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = fresh("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    package, verdict, decide, loaded = proc.stdout.splitlines()
+    assert verdict == "provable"
+    assert package == "[]"
+    assert decide == (
+        f"{EXIT_YES} ['tensorlogic.cli', 'tensorlogic.decision', 'tensorlogic.kernel', 'tensorlogic.terms']"
+    )
+    for name in ("dataclasses", "json"):
+        assert f"'{name}'" not in loaded
+
+
+# the package's public names: the five modules that export them, and their exports
+PUBLIC = (
+    "Atom ConvAxiom Cut Decision Exchange Id Inference LAxiom LTensor LUnit Mode NotProvableError ParseError"
+    " Proof ProofError Prover RAxiom RTensor RUnit SearchResult TRANSFORMS Tensor Term Theory TheoryVerdict"
+    " TransformMismatch UNIT Unit apply_transform atom_list atom_vector bounded_search canonicalize check"
+    " cut_paths cut_proofs decide decide_in_theory decision eliminate_cuts eliminate_left_tensor"
+    " eliminate_left_unit eliminate_right_unit encode_conversion identity_proof is_provable kernel lift"
+    " load_theory make_theory parse_inference parse_proof parse_term parse_theory proofs_equivalent"
+    " render_inference render_proof render_term synthesize_proof tensor_of tensor_proofs terms theory"
+    " to_mode_t transforms"
+).split()
+
+
+def test_lazy_package_exports():
+    """Every public name loads its module on first use; a star import binds
+    exactly the public names, and an unknown name is an ``AttributeError``."""
+    import tensorlogic
+    from tensorlogic import kernel, theory
+
+    assert tensorlogic.__all__ == PUBLIC
+    namespace: dict = {}
+    exec("from tensorlogic import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+    assert namespace["kernel"] is kernel and namespace["Cut"] is kernel.Cut
+    assert tensorlogic.Theory is theory.Theory
+    assert set(PUBLIC) <= set(dir(tensorlogic))
+    with pytest.raises(AttributeError):
+        tensorlogic.no_such_name
+    with pytest.raises(ImportError):
+        exec("from tensorlogic import no_such_name", {})
+
+
+def test_undeclared_theory_atom_exits_3(capsys, tmp_path):
+    """A bad theory file is an input error, also in a fresh process, where
+    ``theory`` loads only when the command reads the file."""
+    path = tmp_path / "bad.thy"
+    path.write_text("atoms A ; free B ;")
+    argv = ("--theory", str(path), "theory", "decide", "A |- A")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: availability axiom uses undeclared atom 'B'\n"
+    proc = fresh("-m", "tensorlogic.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INPUT, "", err)
 
 
 def test_internal_error_exits_4(capsys, monkeypatch):

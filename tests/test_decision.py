@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,20 @@ def test_theory_cut_search_is_pinned(mode, name, text, rendered, goals):
     assert render_proof(result.proof) == rendered
     assert len(prover.memo) == goals
     assert check(result.proof, mode, theory) == inf
+
+
+def test_theory_cut_search_on_a_long_comb():
+    """With a theory, cut search sorts its cut terms by ``(size, text)`` and
+    builds each term's key once per ``Prover``, not once per goal: the
+    128-atom left comb goal ``t |- t`` is answered within a 5 s budget.
+    Rebuilding the text on every goal took about 12 s here, on 2 cores."""
+    names = [f"A{i}" for i in range(128)]
+    theory = parse_theory(f"atoms {' '.join(names)} ; free A0 ;")
+    comb = tensor_of(Atom(n) for n in names)
+    start = time.perf_counter()
+    result = bounded_search(Inference((comb,), comb), Mode.T, 5, theory)
+    assert time.perf_counter() - start < 5.0
+    assert not result.found  # its cut-free proofs have at least 382 nodes
 
 
 def test_chain_length_closed_form():

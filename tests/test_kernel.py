@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -122,11 +123,58 @@ RULE_TEXTS = [
     (Proof(kernel.ConvAxiom(parse_term("A * B"), _B)), "(conv A * B B)"),
 ]
 
+# the s-expression above -> the repr of its rule
+RULE_REPRS = {
+    "(id A)": "Id(atom=Atom('A'))",
+    "(r1)": "RUnit()",
+    "(l1 1 (id A))": "LUnit(position=1)",
+    "(lx 0 (rx (id A) (id B)))": "LTensor(position=0)",
+    "(rx (id A) (id B))": "RTensor()",
+    "(cut (id A) (id A))": "Cut(position=None)",
+    "(cut 1 (id B) (rx (id A) (id B)))": "Cut(position=1)",
+    "(ex 0 1 2 (rx (id A) (id B)))": "Exchange(i=0, j=1, k=2)",
+    "(ax-r A * (B * 1))": "RAxiom(term=Tensor(left=Atom('A'), right=Tensor(left=Atom('B'), right=Unit())))",
+    "(ax-l A * B * A)": "LAxiom(term=Tensor(left=Tensor(left=Atom('A'), right=Atom('B')), right=Atom('A')))",
+    "(conv A * B B)": "ConvAxiom(source=Tensor(left=Atom('A'), right=Atom('B')), target=Atom('B'))",
+}
+
 
 @pytest.mark.parametrize("proof,text", RULE_TEXTS)
 def test_each_rule_renders_and_parses(proof, text):
+    """Each rule renders and parses, shows its fields, pickles back to the
+    one live rule, and refuses assignment."""
     assert render_proof(proof) == text
     assert parse_proof(text) == proof
+    rule = proof.rule
+    assert repr(rule) == RULE_REPRS[text]
+    assert repr(proof).startswith(f"Proof(rule={RULE_REPRS[text]}, premises=(")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(rule, protocol)) is rule
+        assert pickle.loads(pickle.dumps(proof, protocol)) == proof
+    for name in (*rule.__slots__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(rule, name, None)
+    with pytest.raises(AttributeError):
+        proof.rule = rule
+    assert kernel.LUnit(0) != kernel.LTensor(0)
+    assert kernel.Cut() == kernel.Cut(None) and hash(kernel.Cut()) == hash(kernel.Cut(None))
+
+
+def test_deep_proofs_compare():
+    """``==``, ``hash`` and ``size`` walk a proof with an explicit stack, so
+    two separately built 10,000-deep proofs compare."""
+
+    def chain(leaf):
+        proof = Proof(leaf)
+        for _ in range(10_000):
+            proof = Proof(kernel.LUnit(0), (proof,))
+        return proof
+
+    first, second = chain(kernel.RUnit()), chain(kernel.RUnit())
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first.size() == 10_001
+    assert first != chain(kernel.RAxiom(Atom("A")))
 
 
 @pytest.mark.parametrize(

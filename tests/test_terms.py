@@ -104,6 +104,19 @@ def test_deep_terms_hash():
     assert hash(inf) == hash(Inference((comb,), comb))
 
 
+def test_deep_terms_repr():
+    """A tensor's ``repr`` is built from an explicit stack, so a 10,000-atom
+    comb shows, with the text a recursive ``repr`` gives."""
+    assert repr(parse_term("A * (B * 1)")) == "Tensor(left=Atom('A'), right=Tensor(left=Atom('B'), right=Unit()))"
+    names = [f"A{i}" for i in range(10_000)]
+    left = repr(tensor_of(Atom(n) for n in names))
+    assert left.startswith("Tensor(left=" * 9_999 + "Atom('A0'), right=Atom('A1')), right=Atom('A2'))")
+    assert left.endswith(", right=Atom('A9999'))")
+    right = repr(_right_comb(names))
+    assert right.startswith("Tensor(left=Atom('A0'), right=Tensor(left=Atom('A1'), right=")
+    assert right.endswith("right=Atom('A9999')" + ")" * 9_999)
+
+
 def test_equal_terms_hash_equal():
     text = "A * (B * 1) * (Q(0.5) * (C * A)), B |- (A * B) * 1"
     first, second = parse_inference(text), parse_inference(text)
