@@ -30,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _mode(args) -> Mode:
     return Mode.T if args.mode == "t" else Mode.TPRIME
 
@@ -207,8 +214,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tensorlogic", description=__doc__)
     parser.add_argument("--mode", choices=["t", "tprime"], default="t", help="calculus mode")
     parser.add_argument("--theory", help="theory file licensing axiom leaves")
-    parser.add_argument("--cap", type=int, default=16, help="axiom usage cap for theory decisions")
-    parser.add_argument("--max-nodes", type=int, default=2000, help="node bound for proof search")
+    parser.add_argument("--cap", type=_count, default=16, help="axiom usage cap for theory decisions")
+    parser.add_argument("--max-nodes", type=_count, default=2000, help="node bound for proof search")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -257,7 +264,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("coherence", help="coherence commands")
     csub = p.add_subparsers(dest="coherence_command", required=True)
     c = csub.add_parser("sweep", help="check coherence diagrams over small objects")
-    c.add_argument("--max-atoms", type=int, default=2)
+    c.add_argument("--max-atoms", type=_count, default=2)
     c.set_defaults(fn=cmd_coherence_sweep)
 
     return parser

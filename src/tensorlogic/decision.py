@@ -199,9 +199,9 @@ class Prover:
         self._spans: dict[int, list[_Span]] = {}
 
     def prove(self, inference: Inference, max_nodes: int) -> SearchResult:
-        # cut search nests at most one level per budgeted node
+        # cut search nests at most one level per budgeted node; the limit is a C int
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 4 * max_nodes + 200))
+        sys.setrecursionlimit(max(limit, min(4 * max_nodes + 200, 2**31 - 1)))
         goal = (inference.antecedent, inference.consequent)
         # cuts may grow the goal, so with a theory deepen the cap gradually to
         # keep the explored tree close to the size of the smallest proof

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .terms import (
     UNIT,
@@ -183,8 +183,8 @@ _RULES = {
 
 
 class Proof(_Frozen):
-    """A proof tree.  ``==``, ``hash`` and ``size`` walk it with an explicit
-    stack, so any depth compares."""
+    """A proof tree.  ``hash`` and ``size`` are folds, and ``repr`` and ``==``
+    walk with an explicit stack, so any depth works."""
 
     __slots__ = ("rule", "premises")
 
@@ -192,18 +192,26 @@ class Proof(_Frozen):
         _set(self, "rule", rule)
         _set(self, "premises", premises)
 
-    def _nodes(self) -> Iterator[Proof]:
-        stack = [self]
-        while stack:
-            p = stack.pop()
-            yield p
-            stack += p.premises
-
     def size(self) -> int:
-        return sum(1 for _ in self._nodes())
+        return fold(self, lambda rule, sizes: 1 + sum(sizes))
 
     def __hash__(self) -> int:
-        return hash(tuple(p.rule for p in self._nodes()))
+        return fold(self, lambda rule, hashes: hash((rule, *hashes)))
+
+    def __repr__(self) -> str:
+        """The text a dataclass shows, ``(x,)`` for one premise included,
+        written in pre-order: a node's closing text waits below its premises."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                out.append(node)
+                continue
+            out.append(f"Proof(rule={node.rule!r}, premises=(")
+            stack.append(",))" if len(node.premises) == 1 else "))")
+            for i in range(len(node.premises) - 1, -1, -1):
+                stack += (node.premises[i], ", ") if i else (node.premises[i],)
+        return "".join(out)
 
     def __eq__(self, other):
         if type(other) is not Proof:
@@ -218,6 +226,34 @@ class Proof(_Frozen):
         return True
 
 
+def fold(proof: Proof, step: Callable, *args, memo: dict | None = None):
+    """``step(rule, values, *args)`` of the root, ``values`` being the results
+    of a node's premises in order, over an explicit stack, so any depth folds.
+    ``memo`` maps ``id(node)`` to ``(node, result)``: a node found there is
+    not folded again, and holding it keeps its id from being reused."""
+    values: list = []
+    stack: list[Proof | None] = [proof]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the premises of the node below are folded
+            node = stack.pop()
+            n = len(node.premises)
+            value = step(node.rule, values[-n:], *args)
+            del values[-n:]
+        elif memo is not None and (hit := memo.get(id(node))) is not None:
+            values.append(hit[1])
+            continue
+        elif node.premises:
+            stack += (node, None, *node.premises[::-1])
+            continue
+        else:  # a leaf: values[-0:] would be the whole list
+            value = step(node.rule, [], *args)
+        if memo is not None:
+            memo[id(node)] = (node, value)
+        values.append(value)
+    return values[0]
+
+
 NodePath = tuple[int, ...]
 
 
@@ -228,19 +264,22 @@ def subproof_at(proof: Proof, path: NodePath) -> Proof:
 
 
 def replace_at(proof: Proof, path: NodePath, new: Proof) -> Proof:
-    if not path:
-        return new
-    i = path[0]
-    premises = list(proof.premises)
-    premises[i] = replace_at(premises[i], path[1:], new)
-    return Proof(proof.rule, tuple(premises))
+    spine = [proof]  # the nodes from the root down to the one replaced
+    for i in path:
+        spine.append(spine[-1].premises[i])
+    for node, i in zip(spine[-2::-1], path[::-1]):
+        new = Proof(node.rule, node.premises[:i] + (new,) + node.premises[i + 1 :])
+    return new
 
 
-def cut_paths(proof: Proof, prefix: NodePath = ()) -> list[NodePath]:
+def cut_paths(proof: Proof) -> list[NodePath]:
     """Paths of every Cut node, in pre-order."""
-    out = [prefix] if isinstance(proof.rule, Cut) else []
-    for i, p in enumerate(proof.premises):
-        out.extend(cut_paths(p, prefix + (i,)))
+    out, stack = [], [(proof, ())]
+    while stack:
+        node, path = stack.pop()
+        if type(node.rule) is Cut:
+            out.append(path)
+        stack += [(node.premises[i], path + (i,)) for i in range(len(node.premises) - 1, -1, -1)]
     return out
 
 
@@ -253,42 +292,41 @@ def check(proof: Proof, mode: Mode, theory: "Theory | None" = None) -> Inference
     Raises a :class:`ProofError` subclass naming the offending rule when the
     tree does not check.
     """
-    rule = proof.rule
-    expected = _RULES[type(rule)][1]
-    if len(proof.premises) != expected:
-        raise ArityError(f"{type(rule).__name__} takes {expected} premises, got {len(proof.premises)}")
-    concs = [check(p, mode, theory) for p in proof.premises]
-    return rule_conclusion(rule, concs, mode, theory)
+    return fold(proof, rule_conclusion, mode, theory)
 
 
 def rule_conclusion(
     rule: RuleApp, concs: list[Inference], mode: Mode, theory: "Theory | None" = None
 ) -> Inference:
     """The conclusion of one rule application given its premises' conclusions."""
-    if isinstance(rule, Id):
+    cls = type(rule)
+    expected = _RULES[cls][1]
+    if len(concs) != expected:
+        raise ArityError(f"{cls.__name__} takes {expected} premises, got {len(concs)}")
+    if cls is Id:
         return Inference((rule.atom,), rule.atom)
 
-    if isinstance(rule, RUnit):
+    if cls is RUnit:
         return Inference((), UNIT)
 
-    if isinstance(rule, RAxiom):
+    if cls is RAxiom:
         if theory is None or not theory.is_available(rule.term):
             raise AxiomNotLicensed(f"no availability axiom for {render_term(rule.term)}")
         return Inference((), rule.term)
 
-    if isinstance(rule, LAxiom):
+    if cls is LAxiom:
         if theory is None or not theory.is_disposable(rule.term):
             raise AxiomNotLicensed(f"no disposability axiom for {render_term(rule.term)}")
         return Inference((rule.term,), UNIT)
 
-    if isinstance(rule, ConvAxiom):
+    if cls is ConvAxiom:
         if theory is None or not theory.is_conversion(rule.source, rule.target):
             raise AxiomNotLicensed(
                 f"no conversion axiom {render_term(rule.source)} -> {render_term(rule.target)}"
             )
         return Inference((rule.source,), rule.target)
 
-    if isinstance(rule, LUnit):
+    if cls is LUnit:
         (c,) = concs
         items = c.antecedent
         if not 0 <= rule.position <= len(items):
@@ -296,7 +334,7 @@ def rule_conclusion(
         new = items[: rule.position] + (UNIT,) + items[rule.position :]
         return Inference(new, c.consequent)
 
-    if isinstance(rule, LTensor):
+    if cls is LTensor:
         (c,) = concs
         items = c.antecedent
         if not 0 <= rule.position <= len(items) - 2:
@@ -305,11 +343,11 @@ def rule_conclusion(
         new = items[: rule.position] + (fused,) + items[rule.position + 2 :]
         return Inference(new, c.consequent)
 
-    if isinstance(rule, RTensor):
+    if cls is RTensor:
         c1, c2 = concs
         return Inference(c1.antecedent + c2.antecedent, Tensor(c1.consequent, c2.consequent))
 
-    if isinstance(rule, Exchange):
+    if cls is Exchange:
         if mode is not Mode.T:
             raise ExchangeNotAllowed("Exchange is only available in mode t")
         (c,) = concs
@@ -320,7 +358,7 @@ def rule_conclusion(
         new = items[:i] + items[j:k] + items[i:j] + items[k:]
         return Inference(new, c.consequent)
 
-    if isinstance(rule, Cut):
+    if cls is Cut:
         c1, c2 = concs
         if mode is Mode.T:
             if rule.position is not None:
@@ -368,12 +406,13 @@ def tensor_proofs(p1: Proof, p2: Proof) -> Proof:
     return Proof(LTensor(0), (Proof(RTensor(), (p1, p2)),))
 
 
-def cut_proofs(p1: Proof, p2: Proof, pos: int, mode: Mode, n2: int) -> Proof:
+def cut_proofs(p1: Proof, p2: Proof, pos: int, mode: Mode, n2: int, memo: dict | None = None) -> Proof:
     """A cut of ``p1`` into position ``pos`` of ``p2``'s antecedent.
 
     ``n2`` is the length of ``p2``'s antecedent.  In mode ``tprime`` this is a
     single positional Cut; in mode ``t`` the cut item is first moved to the
-    end with Exchange, cut there, and the spliced block moved back.
+    end with Exchange, cut there, and the spliced block moved back, the
+    length of ``p1``'s antecedent being taken from :func:`fold`'s ``memo``.
     """
     if mode is Mode.TPRIME:
         return Proof(Cut(pos), (p1, p2))
@@ -383,7 +422,7 @@ def cut_proofs(p1: Proof, p2: Proof, pos: int, mode: Mode, n2: int) -> Proof:
     moved = Proof(Exchange(pos, pos + 1, n2), (p2,))
     cut = Proof(Cut(None), (p1, moved))
     # Delta | Theta | Gamma  ->  Delta | Gamma | Theta
-    g = len(check_loose(p1, mode).antecedent)
+    g = len(fold(p1, rule_conclusion, mode, _PERMISSIVE, memo=memo).antecedent)
     if g == 0:
         return cut
     theta = n2 - 1 - pos
@@ -406,15 +445,6 @@ class _Permissive:
 _PERMISSIVE = _Permissive()
 
 
-def check_loose(proof: Proof, mode: Mode) -> Inference:
-    """Like :func:`check` but accepting any axiom leaf without a theory.
-
-    Used internally where the licensing theory is not at hand; axiom leaves
-    contribute their nominal conclusions.
-    """
-    return check(proof, mode, _PERMISSIVE)  # type: ignore[arg-type]
-
-
 # --- derived eliminations ----------------------------------------------------
 
 
@@ -424,7 +454,7 @@ def eliminate_left_unit(proof: Proof, mode: Mode, site: int) -> Proof:
     ``site`` indexes the unit item to remove.  Realised by cutting an empty
     unit proof against the given proof.
     """
-    conc = check_loose(proof, mode)
+    conc = check(proof, mode, _PERMISSIVE)
     if not (0 <= site < len(conc.antecedent)) or conc.antecedent[site] != UNIT:
         raise PositionOutOfRange(f"antecedent item {site} is not the unit")
     return cut_proofs(Proof(RUnit()), proof, site, mode, len(conc.antecedent))
@@ -435,7 +465,7 @@ def eliminate_left_tensor(proof: Proof, mode: Mode, site: int) -> Proof:
 
     Realised by cutting ``A, B |- A (x) B`` against the given proof.
     """
-    conc = check_loose(proof, mode)
+    conc = check(proof, mode, _PERMISSIVE)
     if not 0 <= site < len(conc.antecedent):
         raise PositionOutOfRange(f"no antecedent item {site}")
     item = conc.antecedent[site]
@@ -499,7 +529,7 @@ def eliminate_right_unit(proof: Proof, mode: Mode, site: int) -> Proof:
     From ``Gamma |- ... 1 ...`` derive the proof with that unit factor
     dropped, by cutting against a unit-dropping identity-style proof.
     """
-    conc = check_loose(proof, mode)
+    conc = check(proof, mode, _PERMISSIVE)
     # a bare-unit consequent is not a droppable factor
     paths = [p for p in _unit_paths(conc.consequent) if p]
     if not 0 <= site < len(paths):
@@ -516,13 +546,16 @@ def to_mode_t(proof: Proof) -> Proof:
     Positional cuts become Exchange-wrapped last-item cuts; everything else is
     unchanged.  The conclusion is preserved.
     """
-    premises = tuple(to_mode_t(p) for p in proof.premises)
-    rule = proof.rule
-    if isinstance(rule, Cut) and rule.position is not None:
-        p1, p2 = premises
-        n2 = len(check_loose(p2, Mode.T).antecedent)
-        return cut_proofs(p1, p2, rule.position, Mode.T, n2)
-    return Proof(rule, premises)
+    memo: dict = {}  # the conclusions of the mode t proof built so far
+
+    def step(rule: RuleApp, premises: list[Proof]) -> Proof:
+        if isinstance(rule, Cut) and rule.position is not None:
+            p1, p2 = premises
+            n2 = len(fold(p2, rule_conclusion, Mode.T, _PERMISSIVE, memo=memo).antecedent)
+            return cut_proofs(p1, p2, rule.position, Mode.T, n2, memo)
+        return Proof(rule, tuple(premises))
+
+    return fold(proof, step)
 
 
 # --- s-expression serialisation ----------------------------------------------
@@ -575,22 +608,27 @@ _KINDS = {
 _HEADS = {head: (cls, premises, rule_fields) for cls, (head, premises, rule_fields) in _RULES.items()}
 
 
-def _parse_proof_tokens(ts: _TokenStream) -> Proof:
-    ts.expect("(")
-    head = ts.next()
-    entry = _HEADS.get(head)
-    if entry is None:
-        raise ParseError(f"unknown proof rule {head!r}")
-    cls, n_premises, rule_fields = entry
-    rule = cls(*[_KINDS[kind][1](ts) for _, kind in rule_fields])
-    premises = tuple(_parse_proof_tokens(ts) for _ in range(n_premises))
-    ts.expect(")")
-    return Proof(rule, premises)
-
-
 def parse_proof(text: str) -> Proof:
+    """A proof read from ``text``.  Each open rule waits on an explicit stack
+    with the premises read so far, so any depth parses."""
     ts = _TokenStream(_lex(text))
-    proof = _parse_proof_tokens(ts)
-    if ts.peek() is not None:
-        raise ParseError(f"trailing input after proof: {ts.peek()!r}")
-    return proof
+    stack: list[tuple[RuleApp, int, list[Proof]]] = []
+    while True:
+        ts.expect("(")
+        head = ts.next()
+        entry = _HEADS.get(head)
+        if entry is None:
+            raise ParseError(f"unknown proof rule {head!r}")
+        cls, n_premises, rule_fields = entry
+        rule = cls(*[_KINDS[kind][1](ts) for _, kind in rule_fields])
+        premises: list[Proof] = []
+        while len(premises) == n_premises:  # close every rule whose premises are all read
+            ts.expect(")")
+            proof = Proof(rule, tuple(premises))
+            if not stack:
+                if ts.peek() is not None:
+                    raise ParseError(f"trailing input after proof: {ts.peek()!r}")
+                return proof
+            rule, n_premises, premises = stack.pop()
+            premises.append(proof)
+        stack.append((rule, n_premises, premises))

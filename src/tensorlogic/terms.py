@@ -230,10 +230,9 @@ _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_-")
 _NAME_CHARS = _NAME_START | set("0123456789")
 
 
-def _lex(text: str, extra: str = "") -> list[str]:
+def _lex(text: str) -> list[str]:
     """Split into tokens: ``( ) * , |-`` plus atom names and ``1``.
 
-    ``extra`` lists additional single-character tokens (used by file parsers).
     A ``(`` directly attached to name characters (no space), as in ``Q(0.5)``,
     is part of the atom name; the parenthesised suffix may contain anything
     except parentheses.
@@ -251,7 +250,7 @@ def _lex(text: str, extra: str = "") -> list[str]:
             tokens.append("|-")
             i += 2
             continue
-        if c in "()*," or c in extra:
+        if c in "()*,":
             tokens.append(c)
             i += 1
             continue

@@ -26,9 +26,11 @@ from .kernel import (
     Proof,
     ProofError,
     RTensor,
+    RuleApp,
     RUnit,
     check,
     cut_proofs,
+    fold,
     identity_proof,
     replace_at,
     rule_conclusion,
@@ -42,29 +44,15 @@ class TransformMismatch(ProofError):
     """The subproof does not match the requested transformation pattern."""
 
 
-class _Concluder:
-    """Conclusion computation with sharing-aware memoisation."""
-
-    def __init__(self, mode: Mode):
-        self.mode = mode
-        self.memo: dict[int, tuple[Proof, Inference]] = {}
-
-    def __call__(self, proof: Proof) -> Inference:
-        hit = self.memo.get(id(proof))
-        if hit is not None and hit[0] is proof:
-            return hit[1]
-        concs = [self(p) for p in proof.premises]
-        conc = rule_conclusion(proof.rule, concs, self.mode, _PERMISSIVE)
-        self.memo[id(proof)] = (proof, conc)
-        return conc
-
-
 class _Pass:
     """A rewriting pass in one mode, sharing the conclusions it computes."""
 
     def __init__(self, mode: Mode):
         self.mode = mode
-        self.conclude = _Concluder(mode)
+        self.memo: dict[int, tuple[Proof, Inference]] = {}
+
+    def conclude(self, proof: Proof) -> Inference:
+        return fold(proof, rule_conclusion, self.mode, _PERMISSIVE, memo=self.memo)
 
     def _ant_len(self, p: Proof) -> int:
         return len(self.conclude(p).antecedent)
@@ -78,17 +66,18 @@ class _Pass:
         return node.rule.position
 
     def _cut(self, p1: Proof, p2: Proof, pos: int) -> Proof:
-        return cut_proofs(p1, p2, pos, self.mode, self._ant_len(p2))
+        return cut_proofs(p1, p2, pos, self.mode, self._ant_len(p2), self.memo)
 
 
 # --- cut elimination ---------------------------------------------------------
 
 
 class _Eliminator(_Pass):
-    def eliminate(self, proof: Proof) -> Proof:
-        node = Proof(proof.rule, tuple(self.eliminate(p) for p in proof.premises))
-        if isinstance(node.rule, Cut):
-            return self.splice(*node.premises, self._epos(node))
+    def eliminate(self, rule: RuleApp, premises: list[Proof]) -> Proof:
+        """A fold step: the node over cut-free premises, its cut spliced away."""
+        node = Proof(rule, tuple(premises))
+        if isinstance(rule, Cut):
+            return self.splice(*premises, self._epos(node))
         return node
 
     def splice(self, p1: Proof, p2: Proof, pos: int) -> Proof:
@@ -183,7 +172,7 @@ def eliminate_cuts(proof: Proof, mode: Mode) -> Proof:
     Cuts whose cut term comes from a theory axiom leaf cannot be removed and
     remain in the result; :func:`tensorlogic.kernel.cut_paths` reports them.
     """
-    return _Eliminator(mode).eliminate(proof)
+    return fold(proof, _Eliminator(mode).eliminate)
 
 
 # --- named transformations ---------------------------------------------------

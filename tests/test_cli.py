@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tensorlogic import cli
+from tensorlogic import Atom, Inference, Mode, cli, tensor_of
 from tensorlogic.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, main
 
 
@@ -105,6 +105,21 @@ def test_decide_deep_right_comb(capsys):
     comb = " * (".join(f"A{i}" for i in range(n)) + ")" * (n - 1)
     assert run(capsys, "decide", f"{comb} |- {comb}")[0] == EXIT_YES
     assert run(capsys, "decide", f"{comb} |- {comb} * A0")[0] == EXIT_NO
+
+
+def test_numeric_flags(capsys):
+    """A huge node budget is a budget, not an internal error, and a negative
+    count is an input error."""
+    assert run(capsys, "--max-nodes", "1000000000", "search", "A |- A")[:2] == (EXIT_YES, "(id A)\n")
+    for argv in (
+        ("--max-nodes", "-1", "search", "A |- A"),
+        ("--cap", "-1", "--theory", "theories/cloning.thy", "theory", "decide", "C |- C * C"),
+        ("coherence", "sweep", "--max-atoms", "-1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_INPUT
+        assert "expected a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
 def test_theory_decide_json_payload(capsys):
@@ -218,6 +233,28 @@ PUBLIC = (
     " render_inference render_proof render_term synthesize_proof tensor_of tensor_proofs terms theory"
     " to_mode_t transforms"
 ).split()
+
+
+def test_check_mode_t_reversal(tmp_path):
+    """A fresh ``check`` of the 32-atom mode-t reversal, whose proof nests 496
+    Exchange steps (528 levels), answers: the parser and the checker do not
+    recurse.  The proof is rendered here under a raised recursion limit,
+    since ``render_proof`` still recurses."""
+    from tensorlogic import render_inference, render_proof, synthesize_proof
+
+    atoms = [Atom(f"R{i}") for i in range(32)]
+    reversal = Inference(tuple(atoms), tensor_of(atoms[::-1]))
+    proof = synthesize_proof(reversal, Mode.T)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(5_000)
+    try:
+        text = render_proof(proof)
+    finally:
+        sys.setrecursionlimit(limit)
+    path = tmp_path / "reversal.proof"
+    path.write_text(text + "\n")
+    proc = fresh("-m", "tensorlogic.cli", "check", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_YES, f"valid: {render_inference(reversal)}\n", "")
 
 
 def test_lazy_package_exports():

@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,11 @@ from tensorlogic import (
     ParseError,
     Proof,
     ProofError,
+    apply_transform,
     check,
     cut_paths,
     cut_proofs,
+    eliminate_cuts,
     eliminate_left_tensor,
     eliminate_left_unit,
     eliminate_right_unit,
@@ -20,6 +23,7 @@ from tensorlogic import (
     parse_inference,
     parse_proof,
     parse_term,
+    proofs_equivalent,
     render_proof,
     tensor_proofs,
     to_mode_t,
@@ -175,6 +179,73 @@ def test_deep_proofs_compare():
     assert first == second and hash(first) == hash(second)
     assert first.size() == 10_001
     assert first != chain(kernel.RAxiom(Atom("A")))
+
+
+def test_deep_proof_repr():
+    """``repr`` walks with an explicit stack: a 10,000-deep chain shows, and
+    a small proof shows the text recorded from the dataclass ``repr``."""
+    proof = Proof(kernel.RUnit())
+    for _ in range(10_000):
+        proof = Proof(kernel.LUnit(0), (proof,))
+    text = repr(proof)
+    assert text.startswith("Proof(rule=LUnit(position=0), premises=(Proof(rule=LUnit(position=0), premises=(Proof(")
+    assert text.endswith("Proof(rule=RUnit(), premises=())" + ",))" * 10_000)
+    small = parse_proof("(cut 1 (l1 0 (id B)) (rx (id A) (ex 0 1 2 (rx (id B) (r1)))))")
+    assert repr(small) == (
+        "Proof(rule=Cut(position=1), premises=(Proof(rule=LUnit(position=0), premises=(Proof(rule=Id(atom=Atom('B')),"
+        " premises=()),)), Proof(rule=RTensor(), premises=(Proof(rule=Id(atom=Atom('A')), premises=()),"
+        " Proof(rule=Exchange(i=0, j=1, k=2), premises=(Proof(rule=RTensor(), premises=(Proof(rule=Id(atom=Atom('B')),"
+        " premises=()), Proof(rule=RUnit(), premises=()))),))))))"
+    )
+
+
+def _cut_chain(n, head):
+    """``(cut (id A) (cut (id A) ... (id A)))``: ``n`` cuts nested in the right premise."""
+    return f"({head} (id A) " * n + "(id A)" + ")" * n
+
+
+@pytest.mark.parametrize("mode,head", [(Mode.T, "cut"), (Mode.TPRIME, "cut 0")])
+def test_deep_identity_cut_chain(mode, head):
+    """Parsing, checking, cut elimination, a transform at the deepest cut,
+    equivalence and ``repr`` handle a 10,000-deep cut chain without
+    recursing."""
+    proof = parse_proof(_cut_chain(10_000, head))
+    assert proof.size() == 20_001
+    assert check(proof, mode) == parse_inference("A |- A")
+    assert eliminate_cuts(proof, mode) == parse_proof("(id A)")
+    assert apply_transform(proof, (1,) * 9_999, "l-id", mode) == parse_proof(_cut_chain(9_999, head))
+    assert proofs_equivalent(proof, parse_proof("(id A)"), mode)
+    assert repr(proof).count("Cut(") == 10_000
+
+
+def test_to_mode_t_deep_cut_chain():
+    """Each premise's conclusion is built once, so converting a 10,000-deep
+    positional cut chain is linear: well under the 5 s budget (about 0.1 s)."""
+    proof = parse_proof(_cut_chain(10_000, "cut 0"))
+    start = time.monotonic()
+    converted = to_mode_t(proof)
+    assert check(converted, Mode.T) == parse_inference("A |- A")
+    assert time.monotonic() - start < 5
+
+
+def test_to_mode_t_deep_left_cut_chain():
+    """Cuts nested in the left premise, each cutting the first of two items so
+    that it becomes Exchange, Cut and Exchange: the left premise's antecedent
+    length comes from the same memo, so 2,000 levels convert well under the
+    5 s budget (about 0.1 s)."""
+    text = "(r1)"
+    for _ in range(2_000):
+        text = f"(cut 0 {text} (l1 0 (l1 0 (r1))))"
+    proof = parse_proof(text)
+    start = time.monotonic()
+    converted = to_mode_t(proof)
+    assert check(converted, Mode.T) == check(proof, Mode.TPRIME) == parse_inference(", ".join(["1"] * 2_000) + " |- 1")
+    assert time.monotonic() - start < 5
+
+
+def test_cut_paths_deep_chain():
+    paths = cut_paths(parse_proof(_cut_chain(2_000, "cut")))
+    assert paths == [(1,) * depth for depth in range(2_000)]
 
 
 @pytest.mark.parametrize(

@@ -14,9 +14,9 @@ from tensorlogic.monoid import (
     parse_model,
     validate_model,
 )
-from tensorlogic.terms import atom_vector
+from tensorlogic.terms import Atom, Inference, atom_list, atom_vector, tensor_of
 
-from helpers import random_balanced_inference, random_inference, random_model, random_proof
+from helpers import random_inference, random_model, random_proof, random_term
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -101,9 +101,21 @@ def test_soundness_random_proofs(seed, mode):
 @given(seeds)
 @settings(max_examples=100, deadline=None)
 def test_free_model_matches_multiset_criterion(seed):
-    inf = random_inference(random.Random(seed), max_items=2, depth=1)
-    assert entails_free(inf) == (atom_vector(inf.antecedent) == atom_vector(inf.consequent))
-    assert entails_free(inf) == (decide(inf, Mode.T) is Decision.PROVABLE)
+    """The antecedent's atoms force the consequent in the free model exactly
+    when ``decide`` proves the inference in mode t.  The consequent nests
+    tensors three deep; half the time the antecedent holds its atoms in
+    another order, so both verdicts occur."""
+    rng = random.Random(seed)
+    deep = tensor_of(random_term(rng, depth=1) for _ in range(4))
+    antecedent = random_inference(rng, max_items=2).antecedent
+    if rng.random() < 0.5:
+        names = atom_list(deep)
+        rng.shuffle(names)
+        antecedent = tuple(Atom(name) for name in names)
+    inf = Inference(antecedent, deep)
+    provable = decide(inf, Mode.T) is Decision.PROVABLE
+    assert free_forces(atom_vector(inf.antecedent), inf.consequent) == provable
+    assert entails_free(inf) == provable
 
 
 @given(seeds)
