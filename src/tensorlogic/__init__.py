@@ -10,12 +10,12 @@ from importlib import import_module as _import_module
 # module -> the public names it gives the package
 _EXPORTS = {
     "decision": (
-        "Decision NotProvableError Prover SearchResult bounded_search decide is_provable synthesize_proof"
+        "Decision NotProvableError Prover SearchResult bounded_search decide identity_proof is_provable"
+        " synthesize_proof"
     ),
     "kernel": (
         "ConvAxiom Cut Exchange Id LAxiom LTensor LUnit Mode Proof ProofError RAxiom RTensor RUnit check"
-        " cut_paths cut_proofs eliminate_left_tensor eliminate_left_unit eliminate_right_unit identity_proof"
-        " parse_proof render_proof tensor_proofs to_mode_t"
+        " cut_paths cut_proofs parse_proof render_proof tensor_proofs to_mode_t"
     ),
     "terms": (
         "UNIT Atom Inference ParseError Tensor Term Unit atom_list atom_vector parse_inference parse_term"
@@ -24,7 +24,10 @@ _EXPORTS = {
     "theory": (
         "Theory TheoryVerdict decide_in_theory encode_conversion lift load_theory make_theory parse_theory"
     ),
-    "transforms": "TRANSFORMS TransformMismatch apply_transform canonicalize eliminate_cuts proofs_equivalent",
+    "transforms": (
+        "TRANSFORMS TransformMismatch apply_transform canonicalize eliminate_cuts eliminate_left_tensor"
+        " eliminate_left_unit eliminate_right_unit proofs_equivalent"
+    ),
 }
 
 # public name -> its module; a module's own name gives the module

@@ -13,19 +13,8 @@ comparing composite morphisms.
 
 from __future__ import annotations
 
-from .decision import is_provable, synthesize_proof
-from .kernel import (
-    Exchange,
-    LTensor,
-    LUnit,
-    Mode,
-    Proof,
-    RTensor,
-    check,
-    cut_proofs,
-    identity_proof,
-    tensor_proofs,
-)
+from .decision import identity_proof, is_provable, synthesize_proof
+from .kernel import Exchange, LTensor, LUnit, Mode, Proof, RTensor, check, cut_proofs, tensor_proofs
 from .terms import UNIT, Inference, Tensor, Term, _Frozen, _set, render_term, tensor_of
 
 
@@ -61,8 +50,13 @@ def morphism_of(proof: Proof, mode: Mode) -> Morphism:
     return Morphism(tensor_of(conclusion.antecedent), conclusion.consequent, mode, proof)
 
 
+def _canonical(source: Term, target: Term, mode: Mode) -> Morphism:
+    """The morphism ``source -> target`` with its canonical proof."""
+    return Morphism(source, target, mode, synthesize_proof(Inference((source,), target), mode))
+
+
 def identity(a: Term, mode: Mode) -> Morphism:
-    return morphism_of(identity_proof(a, mode), mode)
+    return _canonical(a, a, mode)
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
@@ -102,26 +96,23 @@ def hom_size(a: Term, b: Term, mode: Mode) -> int:
 
 def unit_left(a: Term, mode: Mode) -> Morphism:
     """``lambda_A : 1 (x) A -> A``."""
-    tree = Proof(LTensor(0), (Proof(LUnit(0), (identity_proof(a, mode),)),))
-    return morphism_of(tree, mode)
+    return _canonical(Tensor(UNIT, a), a, mode)
 
 
 def unit_right(a: Term, mode: Mode) -> Morphism:
     """``rho_A : A (x) 1 -> A``."""
-    tree = Proof(LTensor(0), (Proof(LUnit(1), (identity_proof(a, mode),)),))
-    return morphism_of(tree, mode)
+    return _canonical(Tensor(a, UNIT), a, mode)
 
 
 def associator(a: Term, b: Term, c: Term, mode: Mode) -> Morphism:
     """``alpha_{A,B,C} : (A (x) B) (x) C -> A (x) (B (x) C)``."""
-    bc = Proof(RTensor(), (identity_proof(b, mode), identity_proof(c, mode)))
-    abc = Proof(RTensor(), (identity_proof(a, mode), bc))
-    tree = Proof(LTensor(0), (Proof(LTensor(0), (abc,)),))
-    return morphism_of(tree, mode)
+    return _canonical(Tensor(Tensor(a, b), c), Tensor(a, Tensor(b, c)), mode)
 
 
 def symmetry(a: Term, b: Term, mode: Mode) -> Morphism:
-    """``sigma_{A,B} : A (x) B -> B (x) A`` (mode ``t`` only)."""
+    """``sigma_{A,B} : A (x) B -> B (x) A`` (mode ``t`` only).  Its proof is
+    built by hand: the braiding swaps the factors even of ``A (x) A``, whose
+    canonical proof is the identity."""
     if mode is not Mode.T:
         raise ValueError("the braiding exists only in mode t")
     ba = Proof(RTensor(), (identity_proof(b, mode), identity_proof(a, mode)))
@@ -131,8 +122,7 @@ def symmetry(a: Term, b: Term, mode: Mode) -> Morphism:
 
 def inverse(f: Morphism) -> Morphism:
     """The inverse morphism, when the reversed inference is provable."""
-    proof = synthesize_proof(Inference((f.target,), f.source), f.mode)
-    return Morphism(f.target, f.source, f.mode, proof)
+    return _canonical(f.target, f.source, f.mode)
 
 
 # --- coherence diagrams ------------------------------------------------------

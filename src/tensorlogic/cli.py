@@ -271,10 +271,11 @@ def build_parser() -> _Parser:
 
 
 def _input_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that mean bad input.  A ``TheoryError`` can only come
-    from a loaded ``theory`` module, so it is looked up, not imported."""
+    """The exceptions that mean bad input, a file that is not UTF-8 among
+    them.  A ``TheoryError`` can only come from a loaded ``theory`` module,
+    so it is looked up, not imported."""
     theory = sys.modules.get(f"{__package__}.theory")
-    return (ParseError, OSError) + ((theory.TheoryError,) if theory else ())
+    return (ParseError, OSError, UnicodeDecodeError) + ((theory.TheoryError,) if theory else ())
 
 
 def main(argv: list[str] | None = None) -> int:

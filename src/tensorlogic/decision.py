@@ -3,8 +3,9 @@
 ``decide`` applies the normal-form criterion: an inference is provable in mode
 ``t`` iff antecedent and consequent carry the same atom multiset, and in mode
 ``tprime`` iff they carry the same left-to-right atom list (units ignored in
-both).  ``synthesize_proof`` constructs a canonical cut-free witness for the
-positive case.  ``bounded_search`` is an independent exhaustive backward
+both).  ``synthesize_proof`` constructs the canonical cut-free witness for the
+positive case; every canonical proof in the package comes from it, identities
+(``identity_proof``) included.  ``bounded_search`` is an independent exhaustive backward
 search used to cross-validate the criterion.  Without a theory it prunes by a
 name-free invariant only: every checked proof has as many atom occurrences in
 its antecedent as in its consequent.
@@ -31,7 +32,7 @@ from .kernel import (
     RTensor,
     RUnit,
 )
-from .terms import UNIT, Atom, Inference, Tensor, Term, Unit, _Record, atom_list
+from .terms import UNIT, Atom, Inference, Tensor, Term, _Record, atom_list
 
 
 class Decision(enum.Enum):
@@ -43,13 +44,13 @@ class NotProvableError(ValueError):
     """Raised when a witness is requested for an unprovable inference."""
 
 
+def _provable(src: list[str], tgt: list[str], mode: Mode) -> bool:
+    """The normal-form criterion on the two sides' atom lists."""
+    return src == tgt or (mode is Mode.T and Counter(src) == Counter(tgt))
+
+
 def decide(inference: Inference, mode: Mode) -> Decision:
-    src = atom_list(inference.consequent)
-    tgt = atom_list(inference.antecedent)
-    if mode is Mode.T:
-        ok = Counter(src) == Counter(tgt)
-    else:
-        ok = src == tgt
+    ok = _provable(atom_list(inference.consequent), atom_list(inference.antecedent), mode)
     return Decision.PROVABLE if ok else Decision.NOT_PROVABLE
 
 
@@ -61,23 +62,38 @@ def is_provable(inference: Inference, mode: Mode) -> bool:
 
 
 def _build_consequent(term: Term) -> Proof:
-    """A proof of ``atoms(term) |- term`` following the consequent's shape."""
-    if isinstance(term, Atom):
-        return Proof(Id(term))
-    if isinstance(term, Unit):
-        return Proof(RUnit())
-    return Proof(RTensor(), (_build_consequent(term.left), _build_consequent(term.right)))
+    """A proof of ``atoms(term) |- term`` following the consequent's shape,
+    built in post-order from an explicit stack: a ``None`` on it marks a
+    tensor whose two factors are built."""
+    built: list[Proof] = []
+    stack: list[Term | None] = [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is Tensor:
+            stack += (None, t.right, t.left)
+        elif t is None:
+            right = built.pop()
+            built[-1] = Proof(RTensor(), (built[-1], right))
+        else:
+            built.append(Proof(Id(t)) if type(t) is Atom else Proof(RUnit()))
+    return built[0]
 
 
-def _assemble_item(proof: Proof, term: Term, start: int) -> Proof:
-    """Fuse the antecedent atoms at ``start`` into the single item ``term``."""
-    if isinstance(term, Atom):
-        return proof
-    if isinstance(term, Unit):
-        return Proof(LUnit(start), (proof,))
-    proof = _assemble_item(proof, term.left, start)
-    proof = _assemble_item(proof, term.right, start + 1)
-    return Proof(LTensor(start), (proof,))
+def _assemble(proof: Proof, antecedent: tuple[Term, ...]) -> Proof:
+    """Rebuild the items of ``antecedent`` from their atoms by left rules,
+    each item's unit and tensor nodes in post-order from an explicit stack.
+    A node's rule acts at its item's index plus the right turns on its path;
+    a tensor's ``LTensor`` waits on the stack below its two factors."""
+    stack: list = [(item, start) for start, item in enumerate(antecedent)][::-1]
+    while stack:
+        t, pos = stack.pop()
+        if type(t) is Tensor:
+            stack += ((LTensor(pos), pos), (t.right, pos + 1), (t.left, pos))
+        elif type(t) is LTensor:
+            proof = Proof(t, (proof,))
+        elif t is UNIT:
+            proof = Proof(LUnit(pos), (proof,))
+    return proof
 
 
 def _occurrence_labels(names: list[str]) -> list[tuple[str, int]]:
@@ -100,12 +116,12 @@ def synthesize_proof(inference: Inference, mode: Mode) -> Proof:
 
     Raises :class:`NotProvableError` if the inference fails the criterion.
     """
-    if decide(inference, mode) is not Decision.PROVABLE:
-        raise NotProvableError(str(inference))
     src = atom_list(inference.consequent)
     tgt = atom_list(inference.antecedent)
+    if not _provable(src, tgt, mode):
+        raise NotProvableError(str(inference))
     proof = _build_consequent(inference.consequent)
-    if mode is Mode.T and src != tgt:
+    if src != tgt:  # mode t: realise the occurrence matching
         cur = _occurrence_labels(src)
         want = _occurrence_labels(tgt)
         for i in range(len(want)):
@@ -114,11 +130,14 @@ def synthesize_proof(inference: Inference, mode: Mode) -> Proof:
                 cur[j - 1], cur[j] = cur[j], cur[j - 1]
                 proof = Proof(Exchange(j - 1, j, j + 1), (proof,))
                 j -= 1
-    start = 0
-    for item in inference.antecedent:
-        proof = _assemble_item(proof, item, start)
-        start += 1
-    return proof
+    return _assemble(proof, inference.antecedent)
+
+
+def identity_proof(term: Term, mode: Mode) -> Proof:
+    """The canonical proof of ``term |- term``, of ``2 * term.size -
+    term.occurrences`` nodes: an identity leaf per atom, a right rule per
+    tensor and unit, and a left rule per tensor and unit."""
+    return synthesize_proof(Inference((term,), term), mode)
 
 
 # --- bounded backward search -------------------------------------------------

@@ -27,7 +27,6 @@ from .terms import (
     ParseError,
     Tensor,
     Term,
-    Unit,
     _lex,
     _Frozen,
     _parse_term_tokens,
@@ -386,17 +385,6 @@ def rule_conclusion(
 # --- constructors ------------------------------------------------------------
 
 
-def identity_proof(term: Term, mode: Mode) -> Proof:
-    """A proof of ``A |- A`` by structural induction on ``A``."""
-    if isinstance(term, Atom):
-        return Proof(Id(term))
-    if isinstance(term, Unit):
-        return Proof(LUnit(0), (Proof(RUnit()),))
-    left = identity_proof(term.left, mode)
-    right = identity_proof(term.right, mode)
-    return tensor_proofs(left, right)
-
-
 def tensor_proofs(p1: Proof, p2: Proof) -> Proof:
     """From ``A |- B`` and ``C |- D`` build ``A (x) C |- B (x) D``.
 
@@ -443,98 +431,6 @@ class _Permissive:
 
 
 _PERMISSIVE = _Permissive()
-
-
-# --- derived eliminations ----------------------------------------------------
-
-
-def eliminate_left_unit(proof: Proof, mode: Mode, site: int) -> Proof:
-    """From a proof of ``Gamma, 1, Delta |- A`` derive ``Gamma, Delta |- A``.
-
-    ``site`` indexes the unit item to remove.  Realised by cutting an empty
-    unit proof against the given proof.
-    """
-    conc = check(proof, mode, _PERMISSIVE)
-    if not (0 <= site < len(conc.antecedent)) or conc.antecedent[site] != UNIT:
-        raise PositionOutOfRange(f"antecedent item {site} is not the unit")
-    return cut_proofs(Proof(RUnit()), proof, site, mode, len(conc.antecedent))
-
-
-def eliminate_left_tensor(proof: Proof, mode: Mode, site: int) -> Proof:
-    """From ``Gamma, A (x) B, Delta |- C`` derive ``Gamma, A, B, Delta |- C``.
-
-    Realised by cutting ``A, B |- A (x) B`` against the given proof.
-    """
-    conc = check(proof, mode, _PERMISSIVE)
-    if not 0 <= site < len(conc.antecedent):
-        raise PositionOutOfRange(f"no antecedent item {site}")
-    item = conc.antecedent[site]
-    if not isinstance(item, Tensor):
-        raise RuleMismatch(f"antecedent item {site} is not a tensor")
-    pair = Proof(RTensor(), (identity_proof(item.left, mode), identity_proof(item.right, mode)))
-    return cut_proofs(pair, proof, site, mode, len(conc.antecedent))
-
-
-def _unit_paths(term: Term, prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
-    if isinstance(term, Unit):
-        return [prefix]
-    if isinstance(term, Tensor):
-        return _unit_paths(term.left, prefix + (0,)) + _unit_paths(term.right, prefix + (1,))
-    return []
-
-
-def _drop_at(term: Term, path: tuple[int, ...]) -> Term:
-    """Replace the tensor node above the unit at ``path`` by its other child."""
-    if not path:
-        raise RuleMismatch("cannot remove a bare unit consequent")
-    if len(path) == 1:
-        assert isinstance(term, Tensor)
-        return term.right if path[0] == 0 else term.left
-    assert isinstance(term, Tensor)
-    if path[0] == 0:
-        return Tensor(_drop_at(term.left, path[1:]), term.right)
-    return Tensor(term.left, _drop_at(term.right, path[1:]))
-
-
-def _unit_drop_proof(term: Term, path: tuple[int, ...], mode: Mode) -> Proof:
-    """A proof of ``C |- C'`` where ``C'`` drops the unit factor at ``path``."""
-    if len(path) == 1:
-        assert isinstance(term, Tensor)
-        if path[0] == 1:
-            # X (x) 1 |- X
-            body = identity_proof(term.left, mode)
-            body = Proof(LUnit(1), (body,))
-        else:
-            # 1 (x) X |- X
-            body = identity_proof(term.right, mode)
-            if mode is Mode.T:
-                body = Proof(LUnit(1), (body,))
-                body = Proof(Exchange(0, 1, 2), (body,))
-            else:
-                body = Proof(LUnit(0), (body,))
-        return Proof(LTensor(0), (body,))
-    assert isinstance(term, Tensor)
-    if path[0] == 0:
-        inner = _unit_drop_proof(term.left, path[1:], mode)
-        other = identity_proof(term.right, mode)
-        return tensor_proofs(inner, other)
-    inner = _unit_drop_proof(term.right, path[1:], mode)
-    other = identity_proof(term.left, mode)
-    return tensor_proofs(other, inner)
-
-
-def eliminate_right_unit(proof: Proof, mode: Mode, site: int) -> Proof:
-    """Remove the ``site``-th unit factor (left-to-right) from the consequent.
-
-    From ``Gamma |- ... 1 ...`` derive the proof with that unit factor
-    dropped, by cutting against a unit-dropping identity-style proof.
-    """
-    conc = check(proof, mode, _PERMISSIVE)
-    # a bare-unit consequent is not a droppable factor
-    paths = [p for p in _unit_paths(conc.consequent) if p]
-    if not 0 <= site < len(paths):
-        raise PositionOutOfRange(f"consequent has {len(paths)} unit factors, requested {site}")
-    return cut_proofs(proof, _unit_drop_proof(conc.consequent, paths[site], mode), 0, mode, 1)
 
 
 # --- mode adapter ------------------------------------------------------------

@@ -39,18 +39,8 @@ from collections import Counter
 from math import gcd
 from pathlib import Path
 
-from .decision import synthesize_proof
-from .kernel import (
-    ConvAxiom,
-    Cut,
-    LAxiom,
-    Mode,
-    Proof,
-    RAxiom,
-    RTensor,
-    identity_proof,
-    tensor_proofs,
-)
+from .decision import identity_proof, synthesize_proof
+from .kernel import ConvAxiom, Cut, LAxiom, Mode, Proof, RAxiom, RTensor, tensor_proofs
 from .terms import (
     UNIT,
     Atom,
@@ -187,8 +177,8 @@ def parse_theory(text: str) -> Theory:
         stmt = raw.strip()
         if not stmt:
             continue
-        head, _, rest = stmt.partition(" ")
-        rest = rest.strip()
+        head, *rest = stmt.split(None, 1)
+        rest = "".join(rest)
         if head == "atoms":
             names = rest.split()
             if not names:

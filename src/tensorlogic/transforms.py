@@ -6,7 +6,8 @@ forward direction is the left-to-right reading of its defining figure.
 ``eliminate_cuts`` removes every cut whose cut term is introduced by the
 logical rules; cuts fed by theory axiom leaves are kept in place.
 ``canonicalize`` maps every proof of an inference to one canonical cut-free
-proof.
+proof.  The derived eliminations of a unit or a tensor item and of a unit
+factor of the consequent cut a canonical proof against the given one.
 
 The free theory has at most one morphism ``A -> B``, so an equivalence class
 of proofs is determined by its checked endpoints: ``proofs_equivalent``
@@ -15,7 +16,7 @@ compares conclusions, not trees.
 
 from __future__ import annotations
 
-from .decision import synthesize_proof
+from .decision import identity_proof, synthesize_proof
 from .kernel import (
     Cut,
     Exchange,
@@ -23,21 +24,22 @@ from .kernel import (
     LUnit,
     Mode,
     NodePath,
+    PositionOutOfRange,
     Proof,
     ProofError,
     RTensor,
     RuleApp,
+    RuleMismatch,
     RUnit,
     check,
     cut_proofs,
     fold,
-    identity_proof,
     replace_at,
     rule_conclusion,
     subproof_at,
     _PERMISSIVE,
 )
-from .terms import Inference
+from .terms import UNIT, Inference, Tensor, Term
 
 
 class TransformMismatch(ProofError):
@@ -440,6 +442,67 @@ def apply_transform(
     fn = getattr(rw, _DISPATCH[name][0 if direction == "forward" else 1])
     node = subproof_at(proof, path)
     return replace_at(proof, path, fn(node))
+
+
+# --- derived eliminations ----------------------------------------------------
+
+
+def eliminate_left_unit(proof: Proof, mode: Mode, site: int) -> Proof:
+    """From a proof of ``Gamma, 1, Delta |- A`` derive ``Gamma, Delta |- A``
+    by cutting ``|- 1`` against the unit item at ``site``."""
+    conc = check(proof, mode, _PERMISSIVE)
+    if not (0 <= site < len(conc.antecedent)) or conc.antecedent[site] != UNIT:
+        raise PositionOutOfRange(f"antecedent item {site} is not the unit")
+    return cut_proofs(Proof(RUnit()), proof, site, mode, len(conc.antecedent))
+
+
+def eliminate_left_tensor(proof: Proof, mode: Mode, site: int) -> Proof:
+    """From ``Gamma, A (x) B, Delta |- C`` derive ``Gamma, A, B, Delta |- C``
+    by cutting the canonical proof of ``A, B |- A (x) B`` against it."""
+    conc = check(proof, mode, _PERMISSIVE)
+    if not 0 <= site < len(conc.antecedent):
+        raise PositionOutOfRange(f"no antecedent item {site}")
+    item = conc.antecedent[site]
+    if not isinstance(item, Tensor):
+        raise RuleMismatch(f"antecedent item {site} is not a tensor")
+    pair = synthesize_proof(Inference((item.left, item.right), item), mode)
+    return cut_proofs(pair, proof, site, mode, len(conc.antecedent))
+
+
+def _unit_paths(term: Term) -> list[tuple[int, ...]]:
+    """The paths (0 left, 1 right) of the units in ``term``, left to right."""
+    out, stack = [], [(term, ())]
+    while stack:
+        t, path = stack.pop()
+        if t is UNIT:
+            out.append(path)
+        elif type(t) is Tensor:
+            stack += ((t.right, path + (1,)), (t.left, path + (0,)))
+    return out
+
+
+def _drop_at(term: Term, path: tuple[int, ...]) -> Term:
+    """Replace the tensor node above the unit at the nonempty ``path`` by its
+    other child, rebuilding the tensors above it with a loop."""
+    spine = [term]  # the tensors from the root down to the one replaced
+    for i in path[:-1]:
+        spine.append(spine[-1].right if i else spine[-1].left)
+    new = spine[-1].left if path[-1] else spine[-1].right
+    for node, i in zip(spine[-2::-1], path[-2::-1]):
+        new = Tensor(node.left, new) if i else Tensor(new, node.right)
+    return new
+
+
+def eliminate_right_unit(proof: Proof, mode: Mode, site: int) -> Proof:
+    """Remove the ``site``-th unit factor (left to right) from the consequent
+    ``C`` by cutting the proof against the canonical proof of ``C |- C'``,
+    where ``C'`` drops that factor."""
+    c = check(proof, mode, _PERMISSIVE).consequent
+    paths = [p for p in _unit_paths(c) if p]  # a bare-unit consequent is not a droppable factor
+    if not 0 <= site < len(paths):
+        raise PositionOutOfRange(f"consequent has {len(paths)} unit factors, requested {site}")
+    drop = synthesize_proof(Inference((c,), _drop_at(c, paths[site])), mode)
+    return cut_proofs(proof, drop, 0, mode, 1)
 
 
 # --- canonical forms ---------------------------------------------------------

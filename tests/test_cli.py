@@ -169,6 +169,21 @@ def test_input_errors_exit_3(capsys):
     assert exc.value.code == EXIT_INPUT
 
 
+def test_non_utf8_input_exits_3(capsys, tmp_path):
+    """A proof, model or theory file that is not UTF-8 is bad input, not an
+    internal fault."""
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe(\x00i\x00d\x00")
+    for argv in (
+        ("check", str(path)),
+        ("model", "check", str(path), "A |- A"),
+        ("--theory", str(path), "theory", "decide", "A |- A"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, ""), argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -196,30 +211,36 @@ def test_theory_decide_imports_no_numeric_stack():
     assert proc.stdout.splitlines()[-1] == f"[{EXIT_YES}, {EXIT_NO}] []"
 
 
-def test_each_command_imports_only_its_modules():
-    """``import tensorlogic`` loads no submodule, and ``decide`` loads only
-    ``cli``, ``terms``, ``kernel`` and ``decision``, and neither
-    ``dataclasses`` nor ``json``: a process pays for what it runs."""
-    script = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import tensorlogic\n"
-        "print(sorted(m for m in sys.modules if m.startswith('tensorlogic.')))\n"
-        "from tensorlogic.cli import main\n"
-        "code = main(['decide', 'A |- A'])\n"
-        "print(code, sorted(m for m in set(sys.modules) - before if m.startswith('tensorlogic.')))\n"
-        "print(sorted(set(sys.modules) - before))\n"
-    )
-    proc = fresh("-c", script)
-    assert proc.returncode == 0, proc.stderr
-    package, verdict, decide, loaded = proc.stdout.splitlines()
-    assert verdict == "provable"
-    assert package == "[]"
-    assert decide == (
-        f"{EXIT_YES} ['tensorlogic.cli', 'tensorlogic.decision', 'tensorlogic.kernel', 'tensorlogic.terms']"
-    )
-    for name in ("dataclasses", "json"):
-        assert f"'{name}'" not in loaded
+def test_each_command_imports_only_its_modules(tmp_path):
+    """``import tensorlogic`` loads no submodule; ``decide`` loads only
+    ``cli``, ``terms``, ``kernel`` and ``decision``, and ``check`` only
+    ``cli``, ``terms`` and ``kernel``, so the checker never loads synthesis;
+    neither loads ``dataclasses`` or ``json``: a process pays for what it
+    runs."""
+    swap = tmp_path / "swap.proof"
+    swap.write_text("(lx 0 (ex 0 1 2 (rx (id B) (id A))))")
+    for argv, answer, modules in (
+        (["decide", "A |- A"], "provable", "cli decision kernel terms"),
+        (["check", str(swap)], "valid: A * B |- B * A", "cli kernel terms"),
+    ):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import tensorlogic\n"
+            "print(sorted(m for m in sys.modules if m.startswith('tensorlogic.')))\n"
+            "from tensorlogic.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted(m for m in set(sys.modules) - before if m.startswith('tensorlogic.')))\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        proc = fresh("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        package, verdict, command, loaded = proc.stdout.splitlines()
+        assert verdict == answer
+        assert package == "[]"
+        assert command == f"{EXIT_YES} {[f'tensorlogic.{m}' for m in modules.split()]}"
+        for name in ("dataclasses", "json"):
+            assert f"'{name}'" not in loaded
 
 
 # the package's public names: the five modules that export them, and their exports

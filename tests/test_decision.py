@@ -13,9 +13,11 @@ from tensorlogic import (
     NotProvableError,
     Prover,
     bounded_search,
+    canonicalize,
     check,
     cut_proofs,
     decide,
+    eliminate_left_tensor,
     identity_proof,
     is_provable,
     parse_inference,
@@ -25,7 +27,7 @@ from tensorlogic.kernel import Cut, render_proof
 from tensorlogic.terms import Tensor, atom_list, atom_vector, tensor_of
 from tensorlogic.theory import parse_theory
 
-from helpers import random_balanced_inference, random_inference, random_proof
+from helpers import random_balanced_inference, random_inference, random_proof, random_term
 
 seeds = st.integers(0, 2**32 - 1)
 modes_st = st.sampled_from([Mode.T, Mode.TPRIME])
@@ -119,6 +121,39 @@ def test_decide_deep_combs():
         assert decide(Inference((left,), Tensor(right, atoms[0])), mode) is Decision.NOT_PROVABLE
     assert decide(Inference((reversed_left,), right), Mode.T) is Decision.PROVABLE
     assert decide(Inference((reversed_left,), right), Mode.TPRIME) is Decision.NOT_PROVABLE
+
+
+def test_canonical_proofs_of_deep_combs():
+    """Synthesis walks terms with explicit stacks, so the canonical proofs of
+    10,000-atom combs build, and ``check`` accepts each result: the left
+    comb in mode t, the right comb in mode tprime.  The whole test runs in
+    about 9 s on 2 cores, most of it in ``check``; the budget is 60 s."""
+    n = 10_000
+    atoms = [Atom(f"A{i}") for i in range(n)]
+    left = tensor_of(atoms)
+    right = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        right = Tensor(a, right)
+    start = time.perf_counter()
+    for comb, other, mode in ((left, right, Mode.T), (right, left, Mode.TPRIME)):
+        rebracket = Inference((comb,), other)
+        proof = synthesize_proof(rebracket, mode)
+        assert check(proof, mode) == rebracket
+        assert check(canonicalize(proof, mode), mode) == rebracket
+        ident = identity_proof(comb, mode)
+        assert check(ident, mode) == Inference((comb,), comb)
+        split = eliminate_left_tensor(ident, mode, 0)
+        assert check(split, mode) == Inference((comb.left, comb.right), comb)
+    assert time.perf_counter() - start < 60
+
+
+@given(seeds, modes_st)
+def test_identity_proof_size(seed, mode):
+    """The canonical ``t |- t`` has an identity leaf per atom and a right and
+    a left rule per unit and tensor, as the structural recursion had, so
+    theory witnesses keep their size."""
+    t = random_term(random.Random(seed), depth=5)
+    assert identity_proof(t, mode).size() == 2 * t.size - t.occurrences
 
 
 @given(seeds, modes_st)

@@ -319,7 +319,7 @@ def test_eliminate_left_tensor(seed, mode):
 @given(seeds, modes_st)
 @settings(max_examples=60)
 def test_eliminate_right_unit(seed, mode):
-    from tensorlogic.kernel import _unit_paths
+    from tensorlogic.transforms import _drop_at, _unit_paths
 
     rng = random.Random(seed)
     base = random_proof(rng, mode)
@@ -331,7 +331,7 @@ def test_eliminate_right_unit(seed, mode):
     out = eliminate_right_unit(base, mode, site)
     got = check(out, mode)
     assert got.antecedent == conc.antecedent
-    assert got.consequent == kernel._drop_at(conc.consequent, units[site])
+    assert got.consequent == _drop_at(conc.consequent, units[site])
 
 
 def test_cut_paths_reports_every_cut():

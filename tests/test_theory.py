@@ -54,6 +54,13 @@ def test_parse_theory_statements():
     assert th.conversions == ((Atom("A"), Atom("B")),)
 
 
+def test_theory_statement_head_ends_at_any_whitespace():
+    """A statement's keyword may end at a newline or a tab, not only a space."""
+    one_space = parse_theory("atoms A B ; convert A -> B ;")
+    assert parse_theory("atoms\nA B ; convert\tA -> B ;") == one_space
+    assert parse_theory("atoms A B ;\nfree\n  A * B ;") == parse_theory("atoms A B ; free A * B ;")
+
+
 def test_theory_requires_declared_atoms():
     with pytest.raises(UndeclaredAtom):
         parse_theory("atoms A ; free B ;")
