@@ -471,4 +471,12 @@ class Prover:
 
 
 def bounded_search(inference: Inference, mode: Mode, max_nodes: int = 2000, theory=None) -> SearchResult:
+    """Search for a proof of at most ``max_nodes`` nodes.  Under a theory
+    whose balance equation refutes ``inference``, no proof of any size
+    exists, so the search is skipped."""
+    if theory is not None:
+        from .theory import balance_feasible  # theory imports this module
+
+        if not balance_feasible(theory, inference):
+            return SearchResult(False)
     return Prover(mode, theory).prove(inference, max_nodes)

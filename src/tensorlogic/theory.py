@@ -13,19 +13,19 @@ The text format, one statement per ``;``::
     dispose Q_A ;
     convert E -> Q_A * Q_B ;
 
-``decide_in_theory`` runs in three stages: (i) enumerate non-negative integer
-solutions of the atom balance equation by increasing total axiom usage up to
-a cap, (ii) search for an application order in which each conversion holds
-its full source multiset, and (iii) synthesise a checkable witness proof with
-axiom leaves.  ``not-provable`` is reported exactly when the balance
-equation has no solution over the non-negative rationals, which is a sound
-refutation (the Petri-net state equation): every kernel rule keeps the
-balance of an inference (consequent atoms minus antecedent atoms) additive,
-since ``cut`` cancels the cut term and the other rules keep or add their
-premises' balances, and each axiom leaf adds its column (``+X`` for an
+``decide_in_theory`` runs in two stages: (i) a breadth-first search over
+markings (the atom multisets held) for a shortest run of at most a cap of
+axiom uses that turns the antecedent's atoms into the consequent's, each use
+holding what it takes, and (ii) the synthesis of a checkable witness proof
+with axiom leaves from that run.  ``not-provable`` is reported exactly when
+the balance equation has no solution over the non-negative rationals, which
+is a sound refutation (the Petri-net state equation): every kernel rule
+keeps the balance of an inference (consequent atoms minus antecedent atoms)
+additive, since ``cut`` cancels the cut term and the other rules keep or add
+their premises' balances, and each axiom leaf adds its column (``+X`` for an
 available ``X``, ``-Y`` for a disposable ``Y``, ``B - A`` for a conversion
-``A -> B``).  When a solution exists but no witness turns up within the cap,
-the verdict is ``unknown``.
+``A -> B``).  When a solution exists but no run turns up within the cap, the
+verdict is ``unknown``.
 
 That rational feasibility test, ``balance_feasible``, is exact: phase I of
 the simplex method over Python integers, with fraction-free pivots and
@@ -278,31 +278,27 @@ def encode_conversion(theory: Theory, style: str) -> Theory:
 # --- balance equation --------------------------------------------------------
 
 
-def _balance_columns(theory: Theory):
-    cols: list[Counter] = []
-    for x in theory.available:
-        cols.append(+atom_vector(x))
-    for y in theory.disposable:
-        cols.append(Counter({k: -v for k, v in atom_vector(y).items()}))
-    for a, b in theory.conversions:
-        c = Counter(atom_vector(b))
-        c.subtract(atom_vector(a))
-        cols.append(c)
-    return cols
-
-
 def _balance_system(theory: Theory, inference: Inference):
-    """``(columns, rhs)`` of the balance equation ``A x = b``.
+    """``(names, columns, rhs)`` of the balance equation ``A x = b``.
 
-    Rows are the atoms the system mentions, in sorted order.  ``columns``
-    hold one integer vector per axiom (available, disposable, conversion)
-    and ``rhs`` is the inference's balance.
+    Rows are the atoms the system mentions, ``names``, in sorted order.
+    ``columns`` hold one integer vector per axiom (available, disposable,
+    conversion) and ``rhs`` is the inference's: each is the balance of an
+    inference, its consequent's atoms minus its antecedent's.
     """
-    cols = _balance_columns(theory)
-    rhs = Counter(atom_vector(inference.consequent))
-    rhs.subtract(atom_vector(inference.antecedent))
-    names = sorted(set(rhs) | {n for c in cols for n in c})
-    return [[c[n] for n in names] for c in cols], [rhs[n] for n in names]
+    balances = []
+    for before, after in (
+        *(((), x) for x in theory.available),
+        *((y, UNIT) for y in theory.disposable),
+        *theory.conversions,
+        (inference.antecedent, inference.consequent),
+    ):
+        balance = atom_vector(after)
+        balance.subtract(atom_vector(before))
+        balances.append(balance)
+    names = sorted({n for c in balances for n in c})
+    *cols, rhs = [[c[n] for n in names] for c in balances]
+    return names, cols, rhs
 
 
 def _pivoted(row: list[int], pivot_row: list[int], e: int) -> list[int]:
@@ -331,7 +327,7 @@ def balance_feasible(theory: Theory, inference: Inference) -> bool:
     leaves) rules out cycling, so the loop terminates.  A rational solution
     exists iff a real one does, since the data are integers.
     """
-    cols, rhs = _balance_system(theory, inference)
+    _, cols, rhs = _balance_system(theory, inference)
     n, m = len(cols), len(rhs)
     rows: list[list[int]] = []
     for i, b in enumerate(rhs):
@@ -364,66 +360,47 @@ def balance_feasible(theory: Theory, inference: Inference) -> bool:
     return True
 
 
-def _balanced_solutions(theory: Theory, inference: Inference, cap: int):
-    """Yield ``(m, n, k)`` solving the balance equation, by increasing total."""
-    vecs, target = _balance_system(theory, inference)
-    n_vars = len(vecs)
-    if n_vars == 0:
-        if all(v == 0 for v in target):
-            yield ()
-        return
+def _shortest_run(theory: Theory, inference: Inference, cap: int) -> tuple[int, ...] | None:
+    """A shortest run of at most ``cap`` axiom uses that turns the
+    antecedent's atoms into the consequent's, as balance-column indices in
+    firing order; None if there is none.
 
-    def rec(idx: int, budget: int, acc: list[int], partial: list[int]):
-        if idx == n_vars - 1:
-            use = budget
-            row = [p + use * v for p, v in zip(partial, vecs[idx])]
-            if row == target:
-                yield tuple(acc + [use])
-            return
-        for use in range(budget + 1):
-            row = [p + use * v for p, v in zip(partial, vecs[idx])]
-            yield from rec(idx + 1, budget - use, acc + [use], row)
-
-    for total in range(cap + 1):
-        yield from rec(0, total, [], [0] * len(target))
-
-
-# --- conversion ordering -----------------------------------------------------
-
-
-def _freeze(c: Counter) -> tuple:
-    return tuple(sorted((+c).items()))
-
-
-def _conversion_order(theory: Theory, start: Counter, k: tuple[int, ...]) -> list[int] | None:
-    """An order applying each conversion its budgeted number of times, such
-    that the full source multiset is held at each application; None if no
-    order exists.  Disposals are deferred to the end, which is never worse."""
-    sources = [atom_vector(a) for a, _ in theory.conversions]
-    targets = [atom_vector(b) for _, b in theory.conversions]
-    seen: set[tuple] = set()
-
-    def dfs(held: Counter, rem: tuple[int, ...]) -> list[int] | None:
-        if not any(rem):
-            return []
-        key = (_freeze(held), rem)
-        if key in seen:
+    A breadth-first search over markings, the atom counts held (Murata,
+    Proc. IEEE 1989, the reachability graph of the Petri net whose places
+    are atoms and whose transitions are the axioms).  A use is enabled when
+    the marking holds what it takes: nothing for an available term, the
+    term for a disposable one, the source for a conversion; it then adds
+    its column.  The sides of a stored conversion share no atoms, so a use
+    is enabled exactly when adding its column leaves no count negative.  An
+    atom that no column lowers can never fall and one that no column raises
+    can never rise, so a marking past the goal on such an atom is dropped."""
+    names, cols, rhs = _balance_system(theory, inference)
+    ante = atom_vector(inference.antecedent)
+    start = tuple(ante[n] for n in names)
+    goal = tuple(s + r for s, r in zip(start, rhs))
+    if start == goal:
+        return ()
+    never_up = [i for i in range(len(names)) if all(c[i] <= 0 for c in cols)]
+    never_down = [i for i in range(len(names)) if all(c[i] >= 0 for c in cols)]
+    seen = {start}
+    layer = [(start, ())]
+    for _ in range(cap):
+        nxt = []
+        for marking, run in layer:
+            for j, col in enumerate(cols):
+                after = tuple([m + c for m, c in zip(marking, col)])
+                if after == goal:
+                    return run + (j,)
+                if after in seen or min(after) < 0:
+                    continue
+                seen.add(after)
+                if any(after[i] < goal[i] for i in never_up) or any(after[i] > goal[i] for i in never_down):
+                    continue
+                nxt.append((after, run + (j,)))
+        if not nxt:
             return None
-        seen.add(key)
-        for l, r in enumerate(rem):
-            if r == 0:
-                continue
-            if any(held[n] < v for n, v in sources[l].items()):
-                continue
-            nxt = Counter(held)
-            nxt.subtract(sources[l])
-            nxt.update(targets[l])
-            rest = dfs(nxt, rem[:l] + (r - 1,) + rem[l + 1 :])
-            if rest is not None:
-                return [l] + rest
-        return None
-
-    return dfs(Counter(start), k)
+        layer = nxt
+    return None
 
 
 # --- witness synthesis -------------------------------------------------------
@@ -498,7 +475,7 @@ def decide_in_theory(theory: Theory, inference: Inference, cap: int = 16, mode: 
     balance of the sum of its axiom leaves' columns, so when
     :func:`balance_feasible` finds no non-negative solution, conversion
     columns included, no proof exists.  In mode ``t``, ``unknown`` means no
-    balanced solution up to the cap had a valid conversion order.  The
+    run of at most ``cap`` axiom uses reaches the consequent's atoms.  The
     witnesses are mode-``t`` proofs, so in mode ``tprime`` every balanced
     inference is ``unknown``.
     """
@@ -506,25 +483,20 @@ def decide_in_theory(theory: Theory, inference: Inference, cap: int = 16, mode: 
         _check_declared(theory.atoms, t, "inference")
     _check_declared(theory.atoms, inference.consequent, "inference")
 
-    n_av, n_di = len(theory.available), len(theory.disposable)
     if not balance_feasible(theory, inference):
         return TheoryVerdict("not-provable", cap)
     if mode is not Mode.T:
         return TheoryVerdict("unknown", cap)
 
-    start_base = atom_vector(inference.antecedent)
-    for sol in _balanced_solutions(theory, inference, cap):
-        m = sol[:n_av]
-        n = sol[n_av : n_av + n_di]
-        k = sol[n_av + n_di :]
-        held = Counter(start_base)
-        for x, mi in zip(theory.available, m):
-            for _ in range(mi):
-                held.update(atom_vector(x))
-        order = _conversion_order(theory, held, k)
-        if order is None:
-            continue
-        witness = build_witness(theory, inference, m, n, order)
-        counts = {"available": m, "disposable": n, "conversions": k}
-        return TheoryVerdict("provable", cap, counts, witness)
-    return TheoryVerdict("unknown", cap)
+    run = _shortest_run(theory, inference, cap)
+    if run is None:
+        return TheoryVerdict("unknown", cap)
+    n_av, n_ax = len(theory.available), len(theory.available) + len(theory.disposable)
+    uses = Counter(run)
+    counts = tuple(uses[j] for j in range(n_ax + len(theory.conversions)))
+    m, n, k = counts[:n_av], counts[n_av:n_ax], counts[n_ax:]
+    # adding every available term first and disposing last keeps each use
+    # enabled, so only the conversions' order in the run matters
+    order = [j - n_ax for j in run if j >= n_ax]
+    witness = build_witness(theory, inference, m, n, order)
+    return TheoryVerdict("provable", cap, {"available": m, "disposable": n, "conversions": k}, witness)

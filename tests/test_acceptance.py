@@ -152,13 +152,21 @@ def test_lifting_round_trip():
         inf = random_inference(rng, max_items=2, depth=1)
         verdict = decide_in_theory(theory, inf, cap=8)
         assert verdict.status in ("provable", "not-provable"), (seed, verdict.status)
+        n_av, n_di = len(theory.available), len(theory.disposable)
         if verdict.status == "provable":
             counts = (tuple(verdict.counts["available"]), tuple(verdict.counts["disposable"]))
             lifted = lift(theory, inf, counts)
             assert decide(lifted, Mode.T) is Decision.PROVABLE, seed
             assert check(verdict.witness, Mode.T, theory) == inf, seed
+            # the verdict uses as few axioms as any provable lifting
+            fewest = min(
+                sum(m) + sum(n)
+                for m in itertools.product(range(9), repeat=n_av)
+                for n in itertools.product(range(9), repeat=n_di)
+                if sum(m) + sum(n) <= 8 and decide(lift(theory, inf, (m, n)), Mode.T) is Decision.PROVABLE
+            )
+            assert sum(counts[0]) + sum(counts[1]) == fewest, seed
         else:
-            n_av, n_di = len(theory.available), len(theory.disposable)
             for m in itertools.product(range(3), repeat=n_av):
                 for n in itertools.product(range(3), repeat=n_di):
                     lifted = lift(theory, inf, (m, n))

@@ -215,6 +215,7 @@ def test_each_command_imports_only_its_modules(tmp_path):
     """``import tensorlogic`` loads no submodule; ``decide`` loads only
     ``cli``, ``terms``, ``kernel`` and ``decision``, and ``check`` only
     ``cli``, ``terms`` and ``kernel``, so the checker never loads synthesis;
+    ``search`` without a theory loads what ``decide`` loads and no ``theory``;
     neither loads ``dataclasses`` or ``json``: a process pays for what it
     runs."""
     swap = tmp_path / "swap.proof"
@@ -222,6 +223,7 @@ def test_each_command_imports_only_its_modules(tmp_path):
     for argv, answer, modules in (
         (["decide", "A |- A"], "provable", "cli decision kernel terms"),
         (["check", str(swap)], "valid: A * B |- B * A", "cli kernel terms"),
+        (["search", "A, B |- B * A"], "(ex 0 1 2 (rx (id B) (id A)))", "cli decision kernel terms"),
     ):
         script = (
             "import sys\n"

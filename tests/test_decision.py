@@ -254,6 +254,17 @@ def test_search_with_theory_uses_axioms():
     assert check(result.proof, Mode.T, theory) == inf
 
 
+@pytest.mark.parametrize("mode", [Mode.T, Mode.TPRIME])
+def test_search_stops_on_a_balance_refutation(mode):
+    """Under a theory whose balance equation refutes the goal, no proof of
+    any size exists, so the search answers at once. Without that check,
+    neither search ended within 5 s at the default budget of 2,000 nodes."""
+    start = time.perf_counter()
+    for text, goal in (("atoms C ; free C ;", "C |- A"), ("atoms A ;", "A |- A * A")):
+        assert not bounded_search(parse_inference(goal), mode, 2000, parse_theory(text)).found
+    assert time.perf_counter() - start < 1.0
+
+
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
 
 

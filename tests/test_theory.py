@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -320,6 +321,36 @@ def test_decide_in_theory_witnesses_check(seed):
     elif verdict.status == "not-provable":
         # the balance obstruction is complete for conversion-free theories
         assert not balance_feasible(theory, inf)
+
+
+def _chain_theory(k):
+    """``convert Xi * Xi -> X(i+1)`` for ``i < k``, with ``dispose Xk``."""
+    atoms = " ".join(f"X{i}" for i in range(k + 1))
+    converts = " ".join(f"convert X{i} * X{i} -> X{i + 1} ;" for i in range(k))
+    return f"atoms {atoms} ; {converts} dispose X{k} ;"
+
+
+def test_marking_search_exhausts_its_cap_quickly():
+    """Balanced inferences that no run within the cap realises answer
+    ``unknown`` well within 0.5 s together: the search stops at an empty
+    layer or prunes markings past the goal.  Enumerating usage vectors took
+    1.9 s on the chain at seven conversions alone."""
+    free = "atoms A B C D E F ; " + " ".join(f"free {a} ;" for a in "ABCDEF")
+    cases = [
+        ("atoms A B ; convert A * A -> B ; dispose B ;", "A |- 1", 40),
+        ("atoms B C D E ; convert B * C -> D ; convert D -> B * E ;", "C |- E", 60),
+        *((_chain_theory(k), "X0 |- 1", 16) for k in range(3, 8)),
+        (free, "|- " + " * ".join(("ABCDEF" * 3)[:17]), 16),
+    ]
+    start = time.perf_counter()
+    for text, inference, cap in cases:
+        assert decide_in_theory(parse_theory(text), parse_inference(inference), cap).status == "unknown", text
+    assert time.perf_counter() - start < 0.5
+    th = parse_theory("atoms A B C ; free C ; dispose B ;")
+    inf = parse_inference("A" + ", B" * 32 + " |- A * C")
+    verdict = decide_in_theory(th, inf, 40)
+    assert verdict.status == "provable"
+    assert check(verdict.witness, Mode.T, th) == inf
 
 
 def test_undeclared_inference_atoms_rejected():
