@@ -162,6 +162,8 @@ def _subterms(term: Term, acc: set[Term]) -> None:
 
 
 _Goal = tuple[tuple[Term, ...], Term]
+# a tensor split: (left_pos, right_pos, moves); see Prover._splits
+_Split = tuple[list[int], list[int], int]
 # a cut span: (gamma_pos, delta_pos, lo, moves); see Prover._cut_spans
 _Span = tuple[list[int], list[int], int | None, int]
 
@@ -200,7 +202,12 @@ class Prover:
       cut terms that every goal shares, built once;
     - ``_candidates``: goal -> its sorted cut terms;
     - ``_sort_keys``: term -> its ``(size, text)`` cut-term order key;
-    - ``_subsets``: antecedent length -> its ``_selections`` without a total;
+    - ``_split_table``: ``(counts, total)`` -> its mode-``t`` tensor splits
+      with their Exchange counts, keyed by the antecedent length alone with
+      a theory (no total), one entry per key the search meets, like
+      ``_spans``; an entry holds the position lists of all its splits, so
+      on long antecedents whose counts never repeat it holds about as much
+      as the memo; mode-``tprime`` splits are contiguous and built on use;
     - ``_spans``: antecedent length -> its cut spans.
     """
 
@@ -214,7 +221,7 @@ class Prover:
                 _subterms(x, self._axiom_terms)
         self._candidates: dict[_Goal, list[Term]] = {}
         self._sort_keys: dict[Term, tuple[int, str]] = {}
-        self._subsets: dict[int, list[tuple[list[int], list[int]]]] = {}
+        self._split_table: dict[int | tuple[tuple[int, ...], int], list[_Split]] = {}
         self._spans: dict[int, list[_Span]] = {}
 
     def prove(self, inference: Inference, max_nodes: int) -> SearchResult:
@@ -377,8 +384,8 @@ class Prover:
                 if found is not None:
                     consider(Proof(LTensor(pos), (found[0],)), found[1] + 1)
         if isinstance(cons, Tensor):
-            for left_pos, right_pos in self._splits(counts, cons.left):
-                moves = self._chain_length(left_pos, right_pos)
+            total = None if self.theory is not None else cons.left.occurrences
+            for left_pos, right_pos, moves in self._splits(counts, total):
                 if budget() < 2 + moves:
                     continue
                 m1 = self._search((tuple(ant[p] for p in left_pos), cons.left), budget() - 2 - moves)
@@ -397,19 +404,27 @@ class Prover:
         self.memo[goal] = ("failed", max(cap, cached[1] if cached else 0))
         return None
 
-    def _splits(self, counts: list[int], left: Term) -> list[tuple[list[int], list[int]]]:
-        """Premise splits ``(left_pos, right_pos)`` of an antecedent whose
-        items carry ``counts`` atom occurrences, for a consequent whose left
-        factor is ``left``: contiguous in ``tprime``, any order-preserving
-        subset in ``t`` in increasing bitmask order.  Without a theory only
-        the splits whose left part carries as many occurrences as ``left``."""
-        total = None if self.theory is not None else left.occurrences
+    def _splits(self, counts: list[int], total: int | None) -> list[_Split]:
+        """Premise splits ``(left_pos, right_pos, moves)`` of an antecedent
+        whose items carry ``counts`` atom occurrences, where ``moves`` is the
+        length of the Exchange chain that restores the order: contiguous in
+        ``tprime`` (no moves), any order-preserving subset in ``t`` in
+        increasing bitmask order.  With ``total``, only the splits whose left
+        part carries ``total`` occurrences.  Mode-``t`` lists are shared, so
+        callers must not change them."""
         if self.mode is Mode.T:
-            return self._all_subsets(counts) if total is None else self._selections(counts, total)
+            key = len(counts) if total is None else (tuple(counts), total)
+            splits = self._split_table.get(key)
+            if splits is None:
+                splits = self._split_table[key] = [
+                    (inside, outside, self._chain_length(inside, outside))
+                    for inside, outside in self._selections(counts, total)
+                ]
+            return splits
         n = len(counts)
         prefix = [0, *accumulate(counts)]
         return [
-            (list(range(split)), list(range(split, n)))
+            (list(range(split)), list(range(split, n)), 0)
             for split in range(n + 1)
             if total is None or prefix[split] == total
         ]
@@ -420,12 +435,18 @@ class Prover:
         for gamma_pos, delta_pos, lo, moves in self._cut_spans(counts):
             gamma = tuple(ant[p] for p in gamma_pos)
             delta = tuple(ant[p] for p in delta_pos)
+            itself = gamma[0] if len(gamma) == 1 else None  # terms are hash-consed
             for b in candidates:
-                if gamma == (b,):
+                if b is itself:
                     continue  # cutting an item against itself loops
-                if budget() < 2 + moves:
+                room = budget() - 2 - moves
+                if room < 0:
                     break
-                m1 = self._search((gamma, b), budget() - 2 - moves)
+                # refuted by the memo entry that _search would read first
+                cached = self.memo.get((gamma, b))
+                if cached is not None and cached[0] == "failed" and cached[1] >= room:
+                    continue
+                m1 = self._search((gamma, b), room)
                 if m1 is None:
                     continue
                 pre2 = delta + (b,) if lo is None else delta[:lo] + (b,) + delta[lo:]
@@ -437,14 +458,6 @@ class Prover:
                     # the raw cut concludes delta followed by gamma
                     cut = wrap(cut, self._block_move_chain(delta_pos + gamma_pos))
                 consider(cut, 1 + m1[1] + m2[1] + moves)
-
-    def _all_subsets(self, counts: list[int]) -> list[tuple[list[int], list[int]]]:
-        """``_selections(counts)``, which depends only on ``len(counts)``;
-        shared, so callers must not change the lists."""
-        subsets = self._subsets.get(len(counts))
-        if subsets is None:
-            subsets = self._subsets[len(counts)] = self._selections(counts)
-        return subsets
 
     def _cut_spans(self, counts: list[int]) -> list[_Span]:
         """Cut antecedent selections ``(gamma_pos, delta_pos, lo, moves)``,
@@ -458,7 +471,7 @@ class Prover:
             if self.mode is Mode.T:
                 spans = [
                     (inside, outside, None, self._chain_length(outside, inside))
-                    for inside, outside in self._all_subsets(counts)
+                    for inside, outside, _ in self._splits(counts, None)
                 ]
             else:
                 spans = [

@@ -1,5 +1,7 @@
 import random
 import time
+from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -345,3 +347,35 @@ def test_chain_length_closed_form():
         for inside, outside in Prover._selections([1] * n):
             for first, second in ((outside, inside), (inside, outside)):
                 assert Prover._chain_length(first, second) == len(Prover._block_move_chain(first + second))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=8))
+def test_split_table_keeps_the_enumeration_order(counts):
+    """The mode-t split table lists ``_selections`` in its order, each split
+    with its chain length, and a second lookup returns the cached list; the
+    tprime splits stay the contiguous ones, with no moves."""
+    t, tprime = Prover(Mode.T), Prover(Mode.TPRIME)
+    n = len(counts)
+    prefix = [0, *accumulate(counts)]
+    for total in (*range(sum(counts) + 2), None):
+        splits = t._splits(counts, total)
+        assert splits == [(a, b, Prover._chain_length(a, b)) for a, b in Prover._selections(counts, total)]
+        assert t._splits(counts, total) is splits
+        contiguous = [(list(range(k)), list(range(k, n)), 0) for k in range(n + 1) if total is None or prefix[k] == total]
+        assert tprime._splits(counts, total) == contiguous
+
+
+def test_split_table_is_built_once(monkeypatch):
+    """The mode-t reversal search builds each split list once per
+    ``(counts, total)``, not once per goal expansion."""
+    calls: Counter = Counter()
+    selections = Prover._selections
+
+    def counted(counts, total=None):
+        calls[tuple(counts), total] += 1
+        return selections(counts, total)
+
+    monkeypatch.setattr(Prover, "_selections", staticmethod(counted))
+    assert Prover(Mode.T).prove(_reversal(10), 2000).found
+    assert calls and max(calls.values()) == 1
