@@ -13,7 +13,7 @@ comparing composite morphisms.
 
 from __future__ import annotations
 
-from .decision import identity_proof, is_provable, synthesize_proof
+from .decision import identity_proof, synthesize_proof
 from .kernel import Exchange, LTensor, LUnit, Mode, Proof, RTensor, check, cut_proofs, tensor_proofs
 from .terms import UNIT, Inference, Tensor, Term, _Frozen, _set, render_term, tensor_of
 
@@ -84,11 +84,6 @@ def boxtimes(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(
         Tensor(f.source, g.source), Tensor(f.target, g.target), f.mode, tensor_proofs(f.proof, g.proof)
     )
-
-
-def hom_size(a: Term, b: Term, mode: Mode) -> int:
-    """The number of morphisms ``a -> b``: one if provable, else zero."""
-    return 1 if is_provable(Inference((a,), b), mode) else 0
 
 
 # --- structural morphisms ----------------------------------------------------

@@ -79,12 +79,13 @@ def _build_consequent(term: Term) -> Proof:
     return built[0]
 
 
-def _assemble(proof: Proof, antecedent: tuple[Term, ...]) -> Proof:
-    """Rebuild the items of ``antecedent`` from their atoms by left rules,
-    each item's unit and tensor nodes in post-order from an explicit stack.
-    A node's rule acts at its item's index plus the right turns on its path;
-    a tensor's ``LTensor`` waits on the stack below its two factors."""
-    stack: list = [(item, start) for start, item in enumerate(antecedent)][::-1]
+def _assemble(proof: Proof, items: tuple[Term, ...], start: int) -> Proof:
+    """Rebuild ``items``, which stand from position ``start`` of the
+    antecedent, from their atoms by left rules, each item's unit and tensor
+    nodes in post-order from an explicit stack.  A node's rule acts at its
+    item's position plus the right turns on its path; a tensor's ``LTensor``
+    waits on the stack below its two factors."""
+    stack: list = [(item, pos) for pos, item in enumerate(items, start)][::-1]
     while stack:
         t, pos = stack.pop()
         if type(t) is Tensor:
@@ -130,7 +131,7 @@ def synthesize_proof(inference: Inference, mode: Mode) -> Proof:
                 cur[j - 1], cur[j] = cur[j], cur[j - 1]
                 proof = Proof(Exchange(j - 1, j, j + 1), (proof,))
                 j -= 1
-    return _assemble(proof, inference.antecedent)
+    return _assemble(proof, inference.antecedent, 0)
 
 
 def identity_proof(term: Term, mode: Mode) -> Proof:
@@ -393,8 +394,10 @@ class Prover:
                     continue
                 m2 = self._search((tuple(ant[p] for p in right_pos), cons.right), budget() - 1 - moves - m1[1])
                 if m2 is not None:
-                    chain = self._block_move_chain(left_pos + right_pos)
-                    consider(wrap(Proof(RTensor(), (m1[0], m2[0])), chain), 1 + m1[1] + m2[1] + moves)
+                    proof = Proof(RTensor(), (m1[0], m2[0]))
+                    if moves:  # the chain is empty exactly when moves is 0
+                        proof = wrap(proof, self._block_move_chain(left_pos + right_pos))
+                    consider(proof, 1 + m1[1] + m2[1] + moves)
         if self.theory is not None:
             self._search_cuts(goal, counts, budget, consider, wrap)
 
@@ -454,7 +457,7 @@ class Prover:
                 if m2 is None:
                     continue
                 cut = Proof(Cut(lo), (m1[0], m2[0]))
-                if lo is None:
+                if lo is None and moves:
                     # the raw cut concludes delta followed by gamma
                     cut = wrap(cut, self._block_move_chain(delta_pos + gamma_pos))
                 consider(cut, 1 + m1[1] + m2[1] + moves)

@@ -16,8 +16,10 @@ The text format, one statement per ``;``::
 ``decide_in_theory`` runs in two stages: (i) a breadth-first search over
 markings (the atom multisets held) for a shortest run of at most a cap of
 axiom uses that turns the antecedent's atoms into the consequent's, each use
-holding what it takes, and (ii) the synthesis of a checkable witness proof
-with axiom leaves from that run.  ``not-provable`` is reported exactly when
+holding what it takes, and (ii) a checkable witness proof built from that
+run in firing order: one axiom leaf and one cut per use, and one canonical
+proof of the consequent from the atoms held at the end, the lifting theorem
+read on proofs.  ``not-provable`` is reported exactly when
 the balance equation has no solution over the non-negative rationals, which
 is a sound refutation (the Petri-net state equation): every kernel rule
 keeps the balance of an inference (consequent atoms minus antecedent atoms)
@@ -39,8 +41,8 @@ from collections import Counter
 from math import gcd
 from pathlib import Path
 
-from .decision import identity_proof, synthesize_proof
-from .kernel import ConvAxiom, Cut, LAxiom, Mode, Proof, RAxiom, RTensor, tensor_proofs
+from .decision import _assemble, synthesize_proof
+from .kernel import ConvAxiom, Cut, Exchange, LAxiom, Mode, Proof, RAxiom
 from .terms import (
     UNIT,
     Atom,
@@ -110,34 +112,38 @@ def _check_declared(atoms: frozenset[str], term: Term, what: str) -> None:
             raise UndeclaredAtom(f"{what} uses undeclared atom {name!r}")
 
 
-def _rebuild(names: list[str]) -> Term:
-    return tensor_of(Atom(n) for n in names)
+def _atoms(obj: Term | tuple[Term, ...]) -> list[Atom]:
+    return [Atom(n) for n in atom_list(obj)]
 
 
-def _remove_occurrences(names: list[str], drop: Counter) -> list[str]:
-    """Remove ``drop[n]`` rightmost occurrences of each name, keeping order."""
+def _take(items: list, drop: Counter) -> tuple[list, list[int]]:
+    """Split off the ``drop[x]`` rightmost occurrences of each ``x``: the
+    items kept, in order, and the positions taken, in descending order.
+    The scan stops at the last occurrence it needs."""
     remaining = Counter(drop)
-    out: list[str] = []
-    for n in reversed(names):
-        if remaining[n] > 0:
-            remaining[n] -= 1
-        else:
-            out.append(n)
-    if +remaining:
-        raise ValueError(f"cannot remove {dict(+remaining)} from {names}")
-    out.reverse()
-    return out
+    need = sum(remaining.values())
+    taken: list[int] = []
+    for i in range(len(items) - 1, -1, -1):
+        if not need:
+            break
+        if remaining[items[i]] > 0:
+            remaining[items[i]] -= 1
+            need -= 1
+            taken.append(i)
+    if need:
+        raise ValueError(f"cannot remove {dict(+remaining)} from {items}")
+    kept = list(items)
+    for i in taken:  # descending, so each position is still in place
+        del kept[i]
+    return kept, taken
 
 
 def _reduce_conversion(source: Term, target: Term) -> tuple[Term, Term]:
     """Cancel the shared atom multiset from both sides of a conversion."""
-    common = atom_vector(source) & atom_vector(target)
+    common = Counter(_atoms(source)) & Counter(_atoms(target))
     if not common:
         return source, target
-    return (
-        _rebuild(_remove_occurrences(atom_list(source), common)),
-        _rebuild(_remove_occurrences(atom_list(target), common)),
-    )
+    return tensor_of(_take(_atoms(source), common)[0]), tensor_of(_take(_atoms(target), common)[0])
 
 
 def make_theory(
@@ -278,6 +284,13 @@ def encode_conversion(theory: Theory, style: str) -> Theory:
 # --- balance equation --------------------------------------------------------
 
 
+def _axioms(theory: Theory) -> list[tuple[Term | tuple[()], Term]]:
+    """Each axiom as the ``(before, after)`` pair a use turns into the other,
+    in balance-column order: ``((), X)`` for an available ``X``, ``(Y, 1)``
+    for a disposable ``Y`` and ``(A, B)`` for a conversion ``A -> B``."""
+    return [*(((), x) for x in theory.available), *((y, UNIT) for y in theory.disposable), *theory.conversions]
+
+
 def _balance_system(theory: Theory, inference: Inference):
     """``(names, columns, rhs)`` of the balance equation ``A x = b``.
 
@@ -287,12 +300,7 @@ def _balance_system(theory: Theory, inference: Inference):
     inference, its consequent's atoms minus its antecedent's.
     """
     balances = []
-    for before, after in (
-        *(((), x) for x in theory.available),
-        *((y, UNIT) for y in theory.disposable),
-        *theory.conversions,
-        (inference.antecedent, inference.consequent),
-    ):
+    for before, after in (*_axioms(theory), (inference.antecedent, inference.consequent)):
         balance = atom_vector(after)
         balance.subtract(atom_vector(before))
         balances.append(balance)
@@ -406,52 +414,44 @@ def _shortest_run(theory: Theory, inference: Inference, cap: int) -> tuple[int, 
 # --- witness synthesis -------------------------------------------------------
 
 
-def _cut_last(p: Proof, q: Proof) -> Proof:
-    return Proof(Cut(None), (p, q))
+def build_witness(theory: Theory, inference: Inference, run: tuple[int, ...]) -> Proof:
+    """A mode-``t`` proof of ``inference`` from a run of axiom uses, given as
+    balance-column indices in firing order (see :func:`_shortest_run`).
 
-
-def _step(p: Proof, cur: Term, target: Term) -> tuple[Proof, Term]:
-    q = synthesize_proof(Inference((cur,), target), Mode.T)
-    return _cut_last(p, q), target
-
-
-def build_witness(
-    theory: Theory,
-    inference: Inference,
-    m: tuple[int, ...],
-    n: tuple[int, ...],
-    order: list[int],
-) -> Proof:
-    """A mode-``t`` proof of ``inference`` using the budgeted axiom leaves."""
-    state = atom_list(inference.antecedent)
-    cur = _rebuild(state)
-    p = synthesize_proof(Inference(inference.antecedent, cur), Mode.T)
-    for i, mi in enumerate(m):
-        x = theory.available[i]
-        for _ in range(mi):
-            p = Proof(RTensor(), (p, Proof(RAxiom(x))))
-            cur = Tensor(cur, x)
-            state = state + atom_list(x)
-    for l in order:
-        a, b = theory.conversions[l]
-        state = _remove_occurrences(state, atom_vector(a))
-        rest = _rebuild(state)
-        p, cur = _step(p, cur, Tensor(rest, a))
-        conv = tensor_proofs(identity_proof(rest, Mode.T), Proof(ConvAxiom(a, b)))
-        p = _cut_last(p, conv)
-        cur = Tensor(rest, b)
-        state = state + atom_list(b)
-    for j, nj in enumerate(n):
-        y = theory.disposable[j]
-        for _ in range(nj):
-            state = _remove_occurrences(state, atom_vector(y))
-            rest = _rebuild(state)
-            p, cur = _step(p, cur, Tensor(rest, y))
-            disp = tensor_proofs(identity_proof(rest, Mode.T), Proof(LAxiom(y)))
-            p = _cut_last(p, disp)
-            cur = Tensor(rest, UNIT)
-    p, cur = _step(p, cur, inference.consequent)
-    return p
+    The antecedent's atoms are held as a list.  A use of ``(before, after)``
+    takes the rightmost occurrences of ``before``'s atoms and appends
+    ``after``'s, and its part of the proof has the axiom's size only: the
+    use's leaf cut against ``after`` rebuilt from its atoms, behind one
+    canonical proof of ``before`` from the taken atoms when ``before`` is
+    neither ``()`` nor an atom.  The cut leaves the taken atoms last in
+    descending position, so one ``Exchange(i, n - 1, n)`` per taken atom,
+    innermost at the lowest ``i``, puts each back.  A use's part sits below
+    the later uses', so the parts are stacked in reverse firing order onto
+    the canonical proof of the consequent from the atoms held at the end,
+    and the antecedent's items are rebuilt once at the root.
+    """
+    axioms = _axioms(theory)
+    n_av, n_ax = len(theory.available), len(theory.available) + len(theory.disposable)
+    held = _atoms(inference.antecedent)
+    uses = []
+    for j in run:
+        before, after = axioms[j]
+        rest, taken = _take(held, Counter(_atoms(before)))
+        uses.append((j, held, taken))
+        held = rest + _atoms(after)
+    proof = synthesize_proof(Inference(tuple(held), inference.consequent), Mode.T)
+    for j, held, taken in reversed(uses):
+        before, after = axioms[j]
+        leaf = RAxiom(after) if j < n_av else LAxiom(before) if j < n_ax else ConvAxiom(before, after)
+        n = len(held)
+        proof = Proof(Cut(None), (Proof(leaf), _assemble(proof, (after,), n - len(taken))))
+        if before != () and type(before) is not Atom:
+            taken_proof = synthesize_proof(Inference(tuple(held[i] for i in taken), before), Mode.T)
+            proof = Proof(Cut(None), (taken_proof, proof))
+        for i in reversed(taken):
+            if i < n - 1:
+                proof = Proof(Exchange(i, n - 1, n), (proof,))
+    return _assemble(proof, inference.antecedent, 0)
 
 
 # --- the decision procedure --------------------------------------------------
@@ -475,9 +475,11 @@ def decide_in_theory(theory: Theory, inference: Inference, cap: int = 16, mode: 
     balance of the sum of its axiom leaves' columns, so when
     :func:`balance_feasible` finds no non-negative solution, conversion
     columns included, no proof exists.  In mode ``t``, ``unknown`` means no
-    run of at most ``cap`` axiom uses reaches the consequent's atoms.  The
-    witnesses are mode-``t`` proofs, so in mode ``tprime`` every balanced
-    inference is ``unknown``.
+    run of at most ``cap`` axiom uses reaches the consequent's atoms;
+    otherwise a shortest run gives the counts and, in its firing order, the
+    witness (:func:`build_witness`), to which each use adds only its own
+    axiom's nodes.  The witnesses are mode-``t`` proofs, so in mode
+    ``tprime`` every balanced inference is ``unknown``.
     """
     for t in inference.antecedent:
         _check_declared(theory.atoms, t, "inference")
@@ -495,8 +497,5 @@ def decide_in_theory(theory: Theory, inference: Inference, cap: int = 16, mode: 
     uses = Counter(run)
     counts = tuple(uses[j] for j in range(n_ax + len(theory.conversions)))
     m, n, k = counts[:n_av], counts[n_av:n_ax], counts[n_ax:]
-    # adding every available term first and disposing last keeps each use
-    # enabled, so only the conversions' order in the run matters
-    order = [j - n_ax for j in run if j >= n_ax]
-    witness = build_witness(theory, inference, m, n, order)
+    witness = build_witness(theory, inference, run)
     return TheoryVerdict("provable", cap, {"available": m, "disposable": n, "conversions": k}, witness)

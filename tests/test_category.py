@@ -11,7 +11,6 @@ from tensorlogic.category import (
     boxtimes,
     check_diagram,
     compose,
-    hom_size,
     identity,
     inverse,
     morphism_of,
@@ -19,7 +18,6 @@ from tensorlogic.category import (
     unit_left,
     unit_right,
 )
-from tensorlogic.monoid import entails_free
 from tensorlogic.terms import UNIT, Atom, Inference, Tensor, tensor_of
 
 from helpers import random_proof, random_term, wiring
@@ -149,15 +147,6 @@ def test_check_diagram_validates_input():
     with pytest.raises(ValueError):
         check_diagram("nat-sigma", Mode.T, morphisms=())
     assert set(DIAGRAMS) >= {"triangle", "pentagon", "hexagon"}
-
-
-@given(seeds)
-@settings(max_examples=100, deadline=None)
-def test_hom_size_matches_free_entailment(seed):
-    rng = random.Random(seed)
-    a, b = random_term(rng), random_term(rng)
-    expected = 1 if entails_free(Inference((a,), b)) else 0
-    assert hom_size(a, b, Mode.T) == expected
 
 
 def test_boxtimes_shapes():

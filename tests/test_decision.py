@@ -379,3 +379,21 @@ def test_split_table_is_built_once(monkeypatch):
     monkeypatch.setattr(Prover, "_selections", staticmethod(counted))
     assert Prover(Mode.T).prove(_reversal(10), 2000).found
     assert calls and max(calls.values()) == 1
+
+
+def test_tprime_search_builds_no_exchange_chain(monkeypatch):
+    """Every mode-tprime split needs no moves, so the search never builds an
+    Exchange chain: it would be empty, and building it scans the antecedent
+    once per item."""
+    calls = []
+    chain = Prover._block_move_chain
+
+    def counted(perm):
+        calls.append(perm)
+        return chain(perm)
+
+    monkeypatch.setattr(Prover, "_block_move_chain", staticmethod(counted))
+    comb = tensor_of(Atom(f"A{i}") for i in range(20))
+    result = Prover(Mode.TPRIME).prove(Inference((comb,), comb), 80)
+    assert result.found and check(result.proof, Mode.TPRIME) == Inference((comb,), comb)
+    assert calls == []
