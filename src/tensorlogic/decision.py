@@ -194,6 +194,11 @@ class Prover:
     B, A * (A * A), C |- C * (C * B) * (A * A) * (C * C) * (A * A)`` in 26
     nodes, but one block move in place of three single moves gives 24.
 
+    Every call is bounded where it is made: a premise whose cap would be
+    below one node is skipped before its goal is built.  Such a call could
+    only return ``None`` at once, without reading or writing the memo, so
+    skipping it changes neither the memo nor the search order.
+
     Cut search deepens its cap one node at a time, so every goal is visited
     again at each cap.  What does not change between visits is kept on the
     instance and lives as long as the ``Prover``:
@@ -373,13 +378,13 @@ class Prover:
                 consider(Proof(ConvAxiom(ant[0], cons)), 1)
 
         for pos in range(n):
-            if ant[pos] == UNIT:
+            if ant[pos] == UNIT and budget() > 1:
                 found = self._search((ant[:pos] + ant[pos + 1 :], cons), budget() - 1)
                 if found is not None:
                     consider(Proof(LUnit(pos), (found[0],)), found[1] + 1)
         for pos in range(n):
             item = ant[pos]
-            if isinstance(item, Tensor):
+            if isinstance(item, Tensor) and budget() > 1:
                 pre = ant[:pos] + (item.left, item.right) + ant[pos + 1 :]
                 found = self._search((pre, cons), budget() - 1)
                 if found is not None:
@@ -387,7 +392,7 @@ class Prover:
         if isinstance(cons, Tensor):
             total = None if self.theory is not None else cons.left.occurrences
             for left_pos, right_pos, moves in self._splits(counts, total):
-                if budget() < 2 + moves:
+                if budget() < 3 + moves:  # m1 fits its cap, so m2's is at least 1 too
                     continue
                 m1 = self._search((tuple(ant[p] for p in left_pos), cons.left), budget() - 2 - moves)
                 if m1 is None:
@@ -436,15 +441,15 @@ class Prover:
         ant, cons = goal
         candidates = self._cut_terms(goal)
         for gamma_pos, delta_pos, lo, moves in self._cut_spans(counts):
+            room = budget() - 2 - moves  # the first premise's cap
+            if room < 1:
+                continue
             gamma = tuple(ant[p] for p in gamma_pos)
             delta = tuple(ant[p] for p in delta_pos)
             itself = gamma[0] if len(gamma) == 1 else None  # terms are hash-consed
             for b in candidates:
                 if b is itself:
                     continue  # cutting an item against itself loops
-                room = budget() - 2 - moves
-                if room < 0:
-                    break
                 # refuted by the memo entry that _search would read first
                 cached = self.memo.get((gamma, b))
                 if cached is not None and cached[0] == "failed" and cached[1] >= room:
@@ -453,7 +458,7 @@ class Prover:
                 if m1 is None:
                     continue
                 pre2 = delta + (b,) if lo is None else delta[:lo] + (b,) + delta[lo:]
-                m2 = self._search((pre2, cons), budget() - 1 - moves - m1[1])
+                m2 = self._search((pre2, cons), room + 1 - m1[1])  # m1 fits room
                 if m2 is None:
                     continue
                 cut = Proof(Cut(lo), (m1[0], m2[0]))
@@ -461,6 +466,9 @@ class Prover:
                     # the raw cut concludes delta followed by gamma
                     cut = wrap(cut, self._block_move_chain(delta_pos + gamma_pos))
                 consider(cut, 1 + m1[1] + m2[1] + moves)
+                room = budget() - 2 - moves
+                if room < 1:
+                    break
 
     def _cut_spans(self, counts: list[int]) -> list[_Span]:
         """Cut antecedent selections ``(gamma_pos, delta_pos, lo, moves)``,

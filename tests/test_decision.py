@@ -326,6 +326,38 @@ def test_theory_cut_search_is_pinned(mode, name, text, rendered, goals):
     assert check(result.proof, mode, theory) == inf
 
 
+def test_search_makes_no_call_below_one_node(monkeypatch):
+    """Each recursive call is bounded where it is made, so no ``_search``
+    call gets a cap below one node: such a call could only return ``None``
+    at once.  The inputs are the theory searches of
+    ``test_theory_cut_search_is_pinned`` at its cap, all but its last two,
+    and the two of ``test_search_order_is_pinned``."""
+    caps = []
+    search = Prover._search
+
+    def recorded(self, goal, cap):
+        caps.append(cap)
+        return search(self, goal, cap)
+
+    monkeypatch.setattr(Prover, "_search", recorded)
+    theory_searches = [
+        (Mode.T, "cloning", ("|- C * C", "C |- C * C", "C |- C * C * C")),
+        (Mode.T, "coherence", ("Q(1), Q(0) |- Q(0.5)", "Q(1) |- Q(0.5) * Q(0)", "|- Q(0) * Q(0)")),
+        (Mode.T, "locc", ("E |- Q_A", "E |- Q_B", "E |- C * Q_A * Q_B")),
+        (Mode.TPRIME, "locc", ("E |- Q_A", "E, C |- Q_B * C")),
+    ]
+    for mode, name, texts in theory_searches:
+        theory = parse_theory((THEORIES / f"{name}.thy").read_text())
+        for text in texts:
+            assert Prover(mode, theory).prove(parse_inference(text), 30).found
+    for text in (
+        "B, A, A, C, B, C |- (A * C) * ((B * A) * (C * B))",
+        "B * A, 1, A, C * B, C |- (C * A) * ((B * 1) * (A * (C * B)))",
+    ):
+        assert bounded_search(parse_inference(text), Mode.T, 2000).found
+    assert caps and min(caps) >= 1, f"{sum(cap < 1 for cap in caps)} of {len(caps)} calls below one node"
+
+
 def test_theory_cut_search_on_a_long_comb():
     """With a theory, cut search sorts its cut terms by ``(size, text)`` and
     builds each term's key once per ``Prover``, not once per goal: the

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from collections import Counter
@@ -13,6 +14,7 @@ from tensorlogic import (
     Inference,
     LAxiom,
     Mode,
+    Prover,
     RAxiom,
     check,
     decide,
@@ -23,6 +25,7 @@ from tensorlogic import (
     parse_inference,
     parse_term,
     parse_theory,
+    render_proof,
 )
 from tensorlogic.terms import atom_vector, render_term, tensor_of
 from tensorlogic.theory import (
@@ -384,6 +387,35 @@ def _random_theory(rng):
         [term() for _ in range(rng.randrange(3))],
         [(term(), term()) for _ in range(rng.randrange(3))],
     )
+
+
+@pytest.mark.parametrize(
+    "mode,theory_on,cap,found,goals,digest",
+    [
+        (Mode.T, True, 7, 13, 16_501, "4aaae40d0222a6cc3593a68808b4793418c793221f9f6b8252bbd108bf681779"),
+        (Mode.TPRIME, True, 7, 11, 45_749, "ea86ca9e623737065537ad104305c08fb4208bb1c9c04568a50b18473381d2ad"),
+        (Mode.T, False, 40, 7, 146, "7df03f82dd10ce97d686424b8032c325b9461cdea1950a2fbfafd8db865eca13"),
+    ],
+)
+def test_random_theory_searches_are_pinned(mode, theory_on, cap, found, goals, digest):
+    """Backward search over 100 random theories and inferences of one or two
+    depth-1 items finds these proofs after exploring these many goals: the
+    number found, the summed memo sizes and a SHA-256 of the rendered proofs
+    were recorded before ``Prover`` bounded each call where it is made.
+    Without a theory the same inferences are searched plainly."""
+    digests = hashlib.sha256()
+    proofs = explored = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        theory = _random_theory(rng)
+        inf = Inference(tuple(random_term(rng, depth=1) for _ in range(rng.randint(1, 2))), random_term(rng, depth=1))
+        prover = Prover(mode, theory if theory_on else None)
+        result = prover.prove(inf, cap)
+        explored += len(prover.memo)
+        if result.found:
+            proofs += 1
+            digests.update((render_proof(result.proof) + "\n").encode())
+    assert (proofs, explored, digests.hexdigest()) == (found, goals, digest)
 
 
 @given(seeds)
