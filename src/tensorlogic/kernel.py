@@ -12,6 +12,11 @@ Proofs serialise to s-expressions::
     (ex I J K p)  (ax-r TERM)  (ax-l TERM)  (conv TERM TERM)
 
 where ``POS`` is omitted for Cut in mode ``T``.
+
+Each rule class concludes from its premises' ``(antecedent list,
+consequent)`` pairs.  ``check`` lets a step take over and edit its premises'
+lists, as in a tree each premise has one consumer; callers that keep
+conclusions in a :func:`fold` memo use :func:`rule_conclusion`, which copies.
 """
 
 from __future__ import annotations
@@ -102,9 +107,15 @@ class Id(_Rule):
     def __new__(cls, atom: Atom):
         return cls._live.get(atom) or cls._intern(atom, atom)
 
+    def _conclude(self, concs, mode, theory):
+        return [self.atom], self.atom
+
 
 class RUnit(_Rule):
     __slots__ = ()
+
+    def _conclude(self, concs, mode, theory):
+        return [], UNIT
 
 
 class LUnit(_Rule):
@@ -113,6 +124,13 @@ class LUnit(_Rule):
     def __new__(cls, position: int):
         return cls._live.get(position) or cls._intern(position, position)
 
+    def _conclude(self, concs, mode, theory):
+        ((items, consequent),) = concs
+        if not 0 <= self.position <= len(items):
+            raise PositionOutOfRange(f"unit insertion at {self.position} in antecedent of length {len(items)}")
+        items.insert(self.position, UNIT)
+        return items, consequent
+
 
 class LTensor(_Rule):
     __slots__ = ("position",)
@@ -120,9 +138,25 @@ class LTensor(_Rule):
     def __new__(cls, position: int):
         return cls._live.get(position) or cls._intern(position, position)
 
+    def _conclude(self, concs, mode, theory):
+        ((items, consequent),) = concs
+        p = self.position
+        if not 0 <= p <= len(items) - 2:
+            raise PositionOutOfRange(f"tensor fusion at {p} in antecedent of length {len(items)}")
+        items[p : p + 2] = (Tensor(items[p], items[p + 1]),)
+        return items, consequent
+
 
 class RTensor(_Rule):
     __slots__ = ()
+
+    def _conclude(self, concs, mode, theory):
+        (items, left), (right_items, right) = concs
+        if len(items) < len(right_items):  # take over the longer list
+            right_items[:0] = items
+            return right_items, Tensor(left, right)
+        items.extend(right_items)
+        return items, Tensor(left, right)
 
 
 class Cut(_Rule):
@@ -131,12 +165,44 @@ class Cut(_Rule):
     def __new__(cls, position: int | None = None):
         return cls._live.get(position) or cls._intern(position, position)
 
+    def _conclude(self, concs, mode, theory):
+        (gamma, b), (items, consequent) = concs
+        if mode is Mode.T:
+            if self.position is not None:
+                raise RuleMismatch("Cut carries no position in mode t (the last item is cut)")
+            if not items:
+                raise RuleMismatch("Cut right premise needs a nonempty antecedent")
+            pos = len(items) - 1
+        else:
+            if self.position is None:
+                raise RuleMismatch("Cut requires a position in mode tprime")
+            pos = self.position
+            if not 0 <= pos < len(items):
+                raise PositionOutOfRange(f"cut at {pos} in antecedent of length {len(items)}")
+        if items[pos] != b:
+            raise RuleMismatch(
+                f"cut term mismatch: left premise proves {render_term(b)}, "
+                f"right premise holds {render_term(items[pos])} at position {pos}"
+            )
+        items[pos : pos + 1] = gamma
+        return items, consequent
+
 
 class Exchange(_Rule):
     __slots__ = ("i", "j", "k")
 
     def __new__(cls, i: int, j: int, k: int):
         return cls._live.get((i, j, k)) or cls._intern((i, j, k), i, j, k)
+
+    def _conclude(self, concs, mode, theory):
+        if mode is not Mode.T:
+            raise ExchangeNotAllowed("Exchange is only available in mode t")
+        ((items, consequent),) = concs
+        i, j, k = self.i, self.j, self.k
+        if not 0 <= i < j < k <= len(items):
+            raise PositionOutOfRange(f"exchange blocks ({i},{j},{k}) in antecedent of length {len(items)}")
+        items[i:k] = items[j:k] + items[i:j]
+        return items, consequent
 
 
 class RAxiom(_Rule):
@@ -145,6 +211,11 @@ class RAxiom(_Rule):
     def __new__(cls, term: Term):
         return cls._live.get(term) or cls._intern(term, term)
 
+    def _conclude(self, concs, mode, theory):
+        if theory is None or not theory.is_available(self.term):
+            raise AxiomNotLicensed(f"no availability axiom for {render_term(self.term)}")
+        return [], self.term
+
 
 class LAxiom(_Rule):
     __slots__ = ("term",)
@@ -152,12 +223,22 @@ class LAxiom(_Rule):
     def __new__(cls, term: Term):
         return cls._live.get(term) or cls._intern(term, term)
 
+    def _conclude(self, concs, mode, theory):
+        if theory is None or not theory.is_disposable(self.term):
+            raise AxiomNotLicensed(f"no disposability axiom for {render_term(self.term)}")
+        return [self.term], UNIT
+
 
 class ConvAxiom(_Rule):
     __slots__ = ("source", "target")
 
     def __new__(cls, source: Term, target: Term):
         return cls._live.get((source, target)) or cls._intern((source, target), source, target)
+
+    def _conclude(self, concs, mode, theory):
+        if theory is None or not theory.is_conversion(self.source, self.target):
+            raise AxiomNotLicensed(f"no conversion axiom {render_term(self.source)} -> {render_term(self.target)}")
+        return [self.source], self.target
 
 
 RuleApp = Union[Id, RUnit, LUnit, LTensor, RTensor, Cut, Exchange, RAxiom, LAxiom, ConvAxiom]
@@ -227,26 +308,28 @@ class Proof(_Frozen):
 
 def fold(proof: Proof, step: Callable, *args, memo: dict | None = None):
     """``step(rule, values, *args)`` of the root, ``values`` being the results
-    of a node's premises in order, over an explicit stack, so any depth folds.
+    of a node's premises in order.  Listed root first, with premises pushed
+    left to right, the nodes read backwards are a post-order: any depth folds.
     ``memo`` maps ``id(node)`` to ``(node, result)``: a node found there is
-    not folded again, and holding it keeps its id from being reused."""
-    values: list = []
-    stack: list[Proof | None] = [proof]
+    not folded again, and holding it keeps its id from being reused; a node
+    met twice in one fold is folded twice."""
+    order: list = []  # the nodes to fold, and the memo entries of those not to
+    stack = [proof]
     while stack:
         node = stack.pop()
-        if node is None:  # the premises of the node below are folded
-            node = stack.pop()
-            n = len(node.premises)
-            value = step(node.rule, values[-n:], *args)
-            del values[-n:]
-        elif memo is not None and (hit := memo.get(id(node))) is not None:
-            values.append(hit[1])
+        if memo is not None and (hit := memo.get(id(node))) is not None:
+            order.append(hit)
+        else:
+            order.append(node)
+            stack += node.premises
+    values: list = []
+    for node in reversed(order):
+        if type(node) is tuple:
+            values.append(node[1])
             continue
-        elif node.premises:
-            stack += (node, None, *node.premises[::-1])
-            continue
-        else:  # a leaf: values[-0:] would be the whole list
-            value = step(node.rule, [], *args)
+        k = len(values) - len(node.premises)
+        value = step(node.rule, values[k:], *args)
+        del values[k:]
         if memo is not None:
             memo[id(node)] = (node, value)
         values.append(value)
@@ -288,98 +371,32 @@ def cut_paths(proof: Proof) -> list[NodePath]:
 def check(proof: Proof, mode: Mode, theory: "Theory | None" = None) -> Inference:
     """Validate ``proof`` bottom-up and return its conclusion.
 
-    Raises a :class:`ProofError` subclass naming the offending rule when the
-    tree does not check.
+    In a tree each premise's conclusion has one consumer, so each step takes
+    over its premise's antecedent list and edits it in place, and only the
+    root's list becomes an :class:`Inference`: a step costs the items its
+    edit moves, not a copy of the antecedent.  Raises a :class:`ProofError`
+    subclass naming the offending rule when the tree does not check.
     """
-    return fold(proof, rule_conclusion, mode, theory)
+    items, consequent = fold(proof, _conclude, mode, theory)
+    return Inference(tuple(items), consequent)
+
+
+def _conclude(rule: RuleApp, concs: list, mode: Mode, theory: "Theory | None") -> tuple[list[Term], Term]:
+    """The ``(antecedent list, consequent)`` pair a rule concludes from its
+    premises' pairs, which it may take over and edit in place."""
+    expected = _RULES[type(rule)][1]
+    if len(concs) != expected:
+        raise ArityError(f"{type(rule).__name__} takes {expected} premises, got {len(concs)}")
+    return rule._conclude(concs, mode, theory)
 
 
 def rule_conclusion(
     rule: RuleApp, concs: list[Inference], mode: Mode, theory: "Theory | None" = None
 ) -> Inference:
-    """The conclusion of one rule application given its premises' conclusions."""
-    cls = type(rule)
-    expected = _RULES[cls][1]
-    if len(concs) != expected:
-        raise ArityError(f"{cls.__name__} takes {expected} premises, got {len(concs)}")
-    if cls is Id:
-        return Inference((rule.atom,), rule.atom)
-
-    if cls is RUnit:
-        return Inference((), UNIT)
-
-    if cls is RAxiom:
-        if theory is None or not theory.is_available(rule.term):
-            raise AxiomNotLicensed(f"no availability axiom for {render_term(rule.term)}")
-        return Inference((), rule.term)
-
-    if cls is LAxiom:
-        if theory is None or not theory.is_disposable(rule.term):
-            raise AxiomNotLicensed(f"no disposability axiom for {render_term(rule.term)}")
-        return Inference((rule.term,), UNIT)
-
-    if cls is ConvAxiom:
-        if theory is None or not theory.is_conversion(rule.source, rule.target):
-            raise AxiomNotLicensed(
-                f"no conversion axiom {render_term(rule.source)} -> {render_term(rule.target)}"
-            )
-        return Inference((rule.source,), rule.target)
-
-    if cls is LUnit:
-        (c,) = concs
-        items = c.antecedent
-        if not 0 <= rule.position <= len(items):
-            raise PositionOutOfRange(f"unit insertion at {rule.position} in antecedent of length {len(items)}")
-        new = items[: rule.position] + (UNIT,) + items[rule.position :]
-        return Inference(new, c.consequent)
-
-    if cls is LTensor:
-        (c,) = concs
-        items = c.antecedent
-        if not 0 <= rule.position <= len(items) - 2:
-            raise PositionOutOfRange(f"tensor fusion at {rule.position} in antecedent of length {len(items)}")
-        fused = Tensor(items[rule.position], items[rule.position + 1])
-        new = items[: rule.position] + (fused,) + items[rule.position + 2 :]
-        return Inference(new, c.consequent)
-
-    if cls is RTensor:
-        c1, c2 = concs
-        return Inference(c1.antecedent + c2.antecedent, Tensor(c1.consequent, c2.consequent))
-
-    if cls is Exchange:
-        if mode is not Mode.T:
-            raise ExchangeNotAllowed("Exchange is only available in mode t")
-        (c,) = concs
-        items = c.antecedent
-        i, j, k = rule.i, rule.j, rule.k
-        if not 0 <= i < j < k <= len(items):
-            raise PositionOutOfRange(f"exchange blocks ({i},{j},{k}) in antecedent of length {len(items)}")
-        new = items[:i] + items[j:k] + items[i:j] + items[k:]
-        return Inference(new, c.consequent)
-
-    if cls is Cut:
-        c1, c2 = concs
-        if mode is Mode.T:
-            if rule.position is not None:
-                raise RuleMismatch("Cut carries no position in mode t (the last item is cut)")
-            if not c2.antecedent:
-                raise RuleMismatch("Cut right premise needs a nonempty antecedent")
-            pos = len(c2.antecedent) - 1
-        else:
-            if rule.position is None:
-                raise RuleMismatch("Cut requires a position in mode tprime")
-            pos = rule.position
-            if not 0 <= pos < len(c2.antecedent):
-                raise PositionOutOfRange(f"cut at {pos} in antecedent of length {len(c2.antecedent)}")
-        if c2.antecedent[pos] != c1.consequent:
-            raise RuleMismatch(
-                f"cut term mismatch: left premise proves {render_term(c1.consequent)}, "
-                f"right premise holds {render_term(c2.antecedent[pos])} at position {pos}"
-            )
-        new = c2.antecedent[:pos] + c1.antecedent + c2.antecedent[pos + 1 :]
-        return Inference(new, c2.consequent)
-
-    raise RuleMismatch(f"unknown rule {rule!r}")  # pragma: no cover
+    """The conclusion of one rule application given its premises' conclusions,
+    which stay as they are, so they may be :func:`fold` memo values."""
+    items, consequent = _conclude(rule, [(list(c.antecedent), c.consequent) for c in concs], mode, theory)
+    return Inference(tuple(items), consequent)
 
 
 # --- constructors ------------------------------------------------------------
@@ -506,12 +523,14 @@ _HEADS = {head: (cls, premises, rule_fields) for cls, (head, premises, rule_fiel
 
 def parse_proof(text: str) -> Proof:
     """A proof read from ``text``.  Each open rule waits on an explicit stack
-    with the premises read so far, so any depth parses."""
+    with the premises read so far, so any depth parses.  Tokens are popped
+    from the stream's list; ``expect`` and ``next`` run only to raise."""
     ts = _TokenStream(_lex(text))
+    tokens = ts.tokens
     stack: list[tuple[RuleApp, int, list[Proof]]] = []
     while True:
-        ts.expect("(")
-        head = ts.next()
+        tokens.pop() if tokens and tokens[-1] == "(" else ts.expect("(")
+        head = tokens.pop() if tokens else ts.next()
         entry = _HEADS.get(head)
         if entry is None:
             raise ParseError(f"unknown proof rule {head!r}")
@@ -519,11 +538,11 @@ def parse_proof(text: str) -> Proof:
         rule = cls(*[_KINDS[kind][1](ts) for _, kind in rule_fields])
         premises: list[Proof] = []
         while len(premises) == n_premises:  # close every rule whose premises are all read
-            ts.expect(")")
+            tokens.pop() if tokens and tokens[-1] == ")" else ts.expect(")")
             proof = Proof(rule, tuple(premises))
             if not stack:
-                if ts.peek() is not None:
-                    raise ParseError(f"trailing input after proof: {ts.peek()!r}")
+                if tokens:
+                    raise ParseError(f"trailing input after proof: {tokens[-1]!r}")
                 return proof
             rule, n_premises, premises = stack.pop()
             premises.append(proof)

@@ -10,7 +10,10 @@ consequent term.  The concrete syntax is::
 ``*`` is left-associative.  The Unicode aliases ``⊗`` (tensor), ``⊢``
 (turnstile), and ``𝟙`` (unit) are accepted on input.  Atom names start with a
 letter, underscore, or ``-`` and may carry a single parenthesised suffix, so
-``Q(0.5)`` and ``-Q(0.5)`` are single atoms.
+``Q(0.5)`` and ``-Q(0.5)`` are single atoms.  One compiled pattern splits
+text into tokens and keeps this syntax as it is; a suffix holds no
+parentheses (``Q((a))`` is an unbalanced suffix), and a digit run holds
+decimal digits only (``²`` is an unexpected character).
 
 Terms are hash-consed (Filliâtre and Conchon, ML Workshop 2006): a
 constructor returns the one live term with its fields, so ``==`` and ``hash``
@@ -24,6 +27,7 @@ it builds.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from typing import Iterable, Union
 
@@ -229,68 +233,41 @@ _ALIASES = {"⊗": "*", "⊢": "|-", "𝟙": "1"}
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_-")
 _NAME_CHARS = _NAME_START | set("0123456789")
 
+# One token after optional space: ``|-``, a bracket, ``*``, ``,``, a digit run,
+# or a name, whose characters run to the end and whose attached ``(`` must
+# close its suffix; a lone ``-`` is no name.  Failing those, the text from the
+# first character no token takes, to the end, is one last "token".
+_TOKEN = re.compile(
+    r"\s*(\|-|[()*,]|\d+"
+    r"|(?:[A-Za-z_]|-(?=[A-Za-z0-9_(-]))[A-Za-z0-9_-]*(?:\([^()]*\)|(?![A-Za-z0-9_(-]))"
+    r"|\S.*)",
+    re.S,
+)
+
 
 def _lex(text: str) -> list[str]:
-    """Split into tokens: ``( ) * , |-`` plus atom names and ``1``.
+    """Split into tokens: ``( ) * , |-`` plus atom names, ``1`` and digit runs.
 
-    A ``(`` directly attached to name characters (no space), as in ``Q(0.5)``,
-    is part of the atom name; the parenthesised suffix may contain anything
-    except parentheses.
+    One compiled pattern finds every token.  A ``(`` directly attached to name
+    characters (no space), as in ``Q(0.5)``, is part of the atom name; the
+    parenthesised suffix may contain anything except parentheses.
     """
     for src, dst in _ALIASES.items():
         text = text.replace(src, dst)
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("|-", i):
-            tokens.append("|-")
-            i += 2
-            continue
-        if c in "()*,":
-            tokens.append(c)
-            i += 1
-            continue
-        if c == "1" and (i + 1 == n or text[i + 1] not in _NAME_CHARS):
-            tokens.append("1")
-            i += 1
-            continue
-        if c.isdigit():  # bare integers (rule positions) are their own tokens
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        if c in _NAME_START:
-            j = i + 1
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            # attached parenthesised suffix, e.g. Q(0.5) or -(C*Q_B)
-            if j < n and text[j] == "(":
-                depth = 0
-                k = j
-                while k < n:
-                    if text[k] == "(":
-                        depth += 1
-                    elif text[k] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    k += 1
-                if depth != 0:
-                    raise ParseError(f"unbalanced parentheses in name at offset {i}")
-                j = k + 1
-            name = text[i:j]
-            if name == "-":
-                raise ParseError("'-' is not a name by itself")
-            tokens.append(name)
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r} at offset {i}")
+    # a NUL put after the text is no token, so the last "token" is the NUL
+    # alone, or the text from the first character no token takes
+    tokens = _TOKEN.findall(text + "\0")
+    rest = tokens.pop()
+    if rest != "\0":
+        i = len(text) + 1 - len(rest)
+        if text[i] not in _NAME_START:
+            raise ParseError(f"unexpected character {text[i]!r} at offset {i}")
+        j = i + 1
+        while j < len(text) and text[j] in _NAME_CHARS:
+            j += 1
+        if j < len(text) and text[j] == "(":
+            raise ParseError(f"unbalanced parentheses in name at offset {i}")
+        raise ParseError("'-' is not a name by itself")
     return tokens
 
 
@@ -298,19 +275,19 @@ def _lex(text: str) -> list[str]:
 
 
 class _TokenStream:
+    """Tokens kept reversed, so that the next one is ``tokens.pop()``; the
+    parsers pop from ``tokens`` directly, and call ``next`` at the end."""
+
     def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
+        self.tokens = tokens[::-1]
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[-1] if self.tokens else None
 
     def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
+        if not self.tokens:
             raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
+        return self.tokens.pop()
 
     def expect(self, tok: str) -> None:
         got = self.next()
@@ -324,10 +301,11 @@ _STRUCTURAL = {"(", ")", "*", ",", "|-", "1"}
 def _parse_term_tokens(ts: _TokenStream) -> Term:
     """A left-associated term read from ``ts``.  An open bracket pushes the
     partial term before it on an explicit stack, so any nesting parses."""
+    tokens = ts.tokens
     outer: list[Term | None] = []
     acc: Term | None = None  # the partial term inside the innermost open bracket
     while True:
-        tok = ts.next()
+        tok = tokens.pop() if tokens else ts.next()  # ``next`` raises at the end
         if tok == "(":
             outer.append(acc)
             acc = None
@@ -340,8 +318,8 @@ def _parse_term_tokens(ts: _TokenStream) -> Term:
             t = Atom(tok)
         while True:  # attach the factor, then close every bracket that ends here
             acc = t if acc is None else Tensor(acc, t)
-            if ts.peek() == "*":
-                ts.next()
+            if tokens and tokens[-1] == "*":
+                tokens.pop()
                 break
             if not outer:
                 return acc

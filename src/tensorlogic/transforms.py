@@ -54,7 +54,8 @@ class _Pass:
         self.memo: dict[int, tuple[Proof, Inference]] = {}
 
     def conclude(self, proof: Proof) -> Inference:
-        return fold(proof, rule_conclusion, self.mode, _PERMISSIVE, memo=self.memo)
+        hit = self.memo.get(id(proof))
+        return hit[1] if hit else fold(proof, rule_conclusion, self.mode, _PERMISSIVE, memo=self.memo)
 
     def _ant_len(self, p: Proof) -> int:
         return len(self.conclude(p).antecedent)

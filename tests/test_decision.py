@@ -129,7 +129,7 @@ def test_canonical_proofs_of_deep_combs():
     """Synthesis walks terms with explicit stacks, so the canonical proofs of
     10,000-atom combs build, and ``check`` accepts each result: the left
     comb in mode t, the right comb in mode tprime.  The whole test runs in
-    about 9 s on 2 cores, most of it in ``check``; the budget is 60 s."""
+    about 1.7 s on 2 cores, half of it in ``check``; the budget is 60 s."""
     n = 10_000
     atoms = [Atom(f"A{i}") for i in range(n)]
     left = tensor_of(atoms)

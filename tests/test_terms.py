@@ -1,6 +1,7 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 import threading
@@ -24,6 +25,9 @@ from tensorlogic import (
     render_term,
     tensor_of,
 )
+from tensorlogic.terms import _lex
+
+from helpers import random_inference
 
 atoms_st = st.sampled_from([Atom("A"), Atom("B"), Atom("C"), Atom("Q_A"), Atom("Q(0.5)")])
 terms_st = st.deferred(
@@ -41,6 +45,12 @@ def test_term_render_parse_round_trip(t):
 
 @given(inferences_st)
 def test_inference_render_parse_round_trip(inf):
+    assert parse_inference(render_inference(inf)) == inf
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_larger_inferences_render_parse_round_trip(seed):
+    inf = random_inference(random.Random(seed), max_items=10, depth=5)
     assert parse_inference(render_inference(inf)) == inf
 
 
@@ -265,3 +275,79 @@ def test_render_deep_terms():
 def test_parse_error_messages(text, message):
     with pytest.raises(ParseError, match=message):
         parse_term(text)
+
+
+# text -> its tokens, pinned from a lexer that read one character at a time
+LEX_TOKENS = [
+    ("Q(0.5)", ["Q(0.5)"]),
+    ("-Q(0.5)", ["-Q(0.5)"]),
+    ("-(C*Q_B)", ["-(C*Q_B)"]),
+    ("A*B", ["A", "*", "B"]),
+    ("A1", ["A1"]),
+    ("1A", ["1", "A"]),
+    ("12", ["12"]),
+    ("1_", ["1", "_"]),
+    ("0 01 x9", ["0", "01", "x9"]),
+    ("--", ["--"]),
+    ("-1", ["-1"]),
+    ("a1-b_2", ["a1-b_2"]),
+    ("Q(a)b", ["Q(a)", "b"]),
+    ("Q(a)(b)", ["Q(a)", "(", "b", ")"]),
+    ("A (B)", ["A", "(", "B", ")"]),
+    ("Q(a\nb)", ["Q(a\nb)"]),
+    ("|-|-", ["|-", "|-"]),
+    ("A ⊗ 𝟙 ⊢ A", ["A", "*", "1", "|-", "A"]),
+    ("A⊗B⊢𝟙", ["A", "*", "B", "|-", "1"]),
+    ("\tA,\nB\t|-\n1", ["A", ",", "B", "|-", "1"]),
+    ("A\r\n,\x0bB\xa0", ["A", ",", "B"]),
+    (" \t ", []),
+    ("", []),
+    ("(cut 12 (id A) (id B))", ["(", "cut", "12", "(", "id", "A", ")", "(", "id", "B", ")", ")"]),
+]
+
+# text -> the ParseError message; offsets count in the text after the aliases
+# are replaced, so ``⊢`` counts two
+LEX_ERRORS = [
+    ("|", "unexpected character '|' at offset 0"),
+    ("A|B", "unexpected character '|' at offset 1"),
+    ("A  |", "unexpected character '|' at offset 3"),
+    ("B|-|", "unexpected character '|' at offset 3"),
+    ("A ⊢ |", "unexpected character '|' at offset 5"),
+    ("é", "unexpected character 'é' at offset 0"),
+    ("A é", "unexpected character 'é' at offset 2"),
+    ("-", "'-' is not a name by itself"),
+    ("- A", "'-' is not a name by itself"),
+    ("A -", "'-' is not a name by itself"),
+    ("Q(0.5", "unbalanced parentheses in name at offset 0"),
+    ("A Q(0.5", "unbalanced parentheses in name at offset 2"),
+    ("A(", "unbalanced parentheses in name at offset 0"),
+    ("x -(", "unbalanced parentheses in name at offset 2"),
+    ("A -(", "unbalanced parentheses in name at offset 2"),
+    ("é Q(", "unexpected character 'é' at offset 0"),
+    ("Q( é", "unbalanced parentheses in name at offset 0"),
+]
+
+
+@pytest.mark.parametrize("text,tokens", LEX_TOKENS)
+def test_lexer_tokens(text, tokens):
+    assert _lex(text) == tokens
+
+
+@pytest.mark.parametrize("text,message", LEX_ERRORS)
+def test_lexer_errors(text, message):
+    with pytest.raises(ParseError) as exc:
+        _lex(text)
+    assert str(exc.value) == message
+
+
+def test_lexer_spec_changes():
+    """Two inputs outside the documented syntax that a lexer reading one
+    character at a time took: a name suffix holding parentheses was one
+    name and is an unbalanced suffix, and a digit that is not a decimal
+    digit, such as ``²``, was a token (``(id ²)`` read it as an atom) and is
+    an unexpected character.  Decimal digits of any script make digit runs."""
+    with pytest.raises(ParseError, match=r"^unbalanced parentheses in name at offset 0$"):
+        _lex("Q((a))")
+    with pytest.raises(ParseError, match=r"^unexpected character '²' at offset 4$"):
+        _lex("(l1 ² (id A))")
+    assert _lex("(l1 ٣ (id A))") == ["(", "l1", "٣", "(", "id", "A", ")", ")"]
