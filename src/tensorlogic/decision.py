@@ -154,12 +154,17 @@ class SearchResult(_Record):
 
 def _subterms(term: Term, acc: set[Term]) -> None:
     """Add ``term`` and its subterms to ``acc``, which holds the subterms of
-    each term it holds."""
-    if term not in acc:
-        acc.add(term)
-        if isinstance(term, Tensor):
-            _subterms(term.left, acc)
-            _subterms(term.right, acc)
+    each term it holds.  Like ``atom_list`` it walks the left spine, leaving
+    right subterms on an explicit stack, and it stops at terms held."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        while t not in acc:
+            acc.add(t)
+            if type(t) is not Tensor:
+                break
+            stack.append(t.right)
+            t = t.left
 
 
 _Goal = tuple[tuple[Term, ...], Term]

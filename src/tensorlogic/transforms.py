@@ -4,7 +4,9 @@ Eleven named local transformations rearrange cuts, tensor rules, and
 identities while preserving the conclusion.  Each is bidirectional; the
 forward direction is the left-to-right reading of its defining figure.
 ``eliminate_cuts`` removes every cut whose cut term is introduced by the
-logical rules; cuts fed by theory axiom leaves are kept in place.
+logical rules, splicing in one loop so that any depth works; cuts fed by
+theory axiom leaves are kept in place, and a proof that does not check is
+rejected.
 ``canonicalize`` maps every proof of an inference to one canonical cut-free
 proof.  The derived eliminations of a unit or a tensor item and of a unit
 factor of the consequent cut a canonical proof against the given one.
@@ -75,13 +77,32 @@ class _Pass:
 # --- cut elimination ---------------------------------------------------------
 
 
+def _source(rule: RuleApp, pos: int) -> int | None:
+    """The premise position of conclusion position ``pos`` of a unary left
+    rule; ``None`` if the rule introduces that item or is no unary left rule."""
+    if type(rule) is Exchange:  # the block [i, k) rotated left by j - i
+        i, j, k = rule.i, rule.j, rule.k
+        return i + (pos - i + j - i) % (k - i) if i <= pos < k else pos
+    if type(rule) in (LUnit, LTensor) and rule.position != pos:
+        return pos if pos < rule.position else pos + (1 if type(rule) is LTensor else -1)
+    return None
+
+
+def _shifted(rule: RuleApp, d: int, above: int) -> RuleApp | None:
+    """The unary left ``rule`` with ``d`` added to each position above
+    ``above``; ``None`` for an Exchange that this leaves with an empty block."""
+    if type(rule) is Exchange:
+        i, j, k = (x + d if x > above else x for x in (rule.i, rule.j, rule.k))
+        return Exchange(i, j, k) if i < j < k else None
+    return type(rule)(rule.position + d if rule.position > above else rule.position)
+
+
 class _Eliminator(_Pass):
     def eliminate(self, rule: RuleApp, premises: list[Proof]) -> Proof:
         """A fold step: the node over cut-free premises, its cut spliced away."""
-        node = Proof(rule, tuple(premises))
         if isinstance(rule, Cut):
-            return self.splice(*premises, self._epos(node))
-        return node
+            return self.splice(*premises, self._epos(Proof(rule, tuple(premises))))
+        return Proof(rule, tuple(premises))
 
     def splice(self, p1: Proof, p2: Proof, pos: int) -> Proof:
         """A proof of the cut's conclusion from cut-free-so-far premises.
@@ -89,92 +110,63 @@ class _Eliminator(_Pass):
         ``p1`` proves ``Gamma |- B`` and ``p2`` proves ``Delta, B, Theta |- A``
         with ``B`` at ``pos``.  Cases are tried in the order: identity
         elimination, right-premise commutation, left-premise commutation,
-        primary reduction.  When nothing applies (an axiom leaf feeds the
-        cut), the cut is rebuilt in place.
+        primary reduction; when nothing applies (an axiom leaf feeds the
+        cut), the cut is rebuilt in place.  A commuted rule waits on
+        ``around`` as ``(rule, before, after)``, put back around the result
+        unless ``rule`` is ``None``; a tensor reduction's second cut waits
+        on ``second`` with the height ``around`` had when the first started.
         """
-        c1 = self.conclude(p1)
-        c2 = self.conclude(p2)
-        b = c2.antecedent[pos]
-        g = len(c1.antecedent)
-        d = g - 1
-
-        # identity elimination
-        if c1.antecedent == (b,):
-            return p2
-        if len(c2.antecedent) == 1 and c2.consequent == b:
-            return p1
-
-        r2 = p2.rule
-        # right-premise commutation
-        if isinstance(r2, Exchange):
-            (q2,) = p2.premises
-            i, j, k = r2.i, r2.j, r2.k
-            # map pos in the exchanged antecedent back to the premise
-            if pos < i or pos >= k:
-                pos_src = pos
-            elif pos < i + (k - j):
-                pos_src = j + (pos - i)
-            else:
-                pos_src = i + (pos - (i + (k - j)))
-            rec = self.splice(p1, q2, pos_src)
-            i2 = i + d if i > pos_src else i
-            j2 = j + d if j > pos_src else j
-            k2 = k + d if k > pos_src else k
-            if i2 == j2 or j2 == k2:  # a block vanished with an empty splice
-                return rec
-            return Proof(Exchange(i2, j2, k2), (rec,))
-        if isinstance(r2, LUnit) and r2.position != pos:
-            (q2,) = p2.premises
-            q = r2.position
-            pos_src = pos if pos < q else pos - 1
-            rec = self.splice(p1, q2, pos_src)
-            q2pos = q + d if q > pos_src else q
-            return Proof(LUnit(q2pos), (rec,))
-        if isinstance(r2, LTensor) and r2.position != pos:
-            (q2,) = p2.premises
-            q = r2.position
-            pos_src = pos if pos < q else pos + 1
-            rec = self.splice(p1, q2, pos_src)
-            q2pos = q + d if q > pos_src else q
-            return Proof(LTensor(q2pos), (rec,))
-        if isinstance(r2, RTensor):
-            qa, qb = p2.premises
-            la = len(self.conclude(qa).antecedent)
-            if pos < la:
-                return Proof(RTensor(), (self.splice(p1, qa, pos), qb))
-            return Proof(RTensor(), (qa, self.splice(p1, qb, pos - la)))
-
-        # left-premise commutation
-        r1 = p1.rule
-        if isinstance(r1, LUnit):
-            rec = self.splice(p1.premises[0], p2, pos)
-            return Proof(LUnit(pos + r1.position), (rec,))
-        if isinstance(r1, LTensor):
-            rec = self.splice(p1.premises[0], p2, pos)
-            return Proof(LTensor(pos + r1.position), (rec,))
-        if isinstance(r1, Exchange):
-            rec = self.splice(p1.premises[0], p2, pos)
-            return Proof(Exchange(pos + r1.i, pos + r1.j, pos + r1.k), (rec,))
-
-        # primary reductions
-        if isinstance(r2, LUnit) and r2.position == pos and isinstance(r1, RUnit):
-            return p2.premises[0]
-        if isinstance(r2, LTensor) and r2.position == pos and isinstance(r1, RTensor):
-            p1a, p1b = p1.premises
-            (q2,) = p2.premises
-            rec1 = self.splice(p1b, q2, pos + 1)
-            return self.splice(p1a, rec1, pos)
-
-        # an axiom leaf introduces the cut term; keep this cut
-        return self._cut(p1, p2, pos)
+        around: list[tuple[RuleApp | None, tuple[Proof, ...], tuple[Proof, ...]]] = []
+        second: list[tuple[Proof, int, int]] = []
+        while True:
+            c1, c2 = self.conclude(p1), self.conclude(p2)
+            b = c2.antecedent[pos]
+            r1, r2 = p1.rule, p2.rule
+            if c1.antecedent == (b,):  # identity elimination
+                out = p2
+            elif len(c2.antecedent) == 1 and c2.consequent == b:
+                out = p1
+            elif (src := _source(r2, pos)) is not None:  # right-premise commutation
+                around.append((_shifted(r2, len(c1.antecedent) - 1, src), (), ()))
+                p2, pos = p2.premises[0], src
+                continue
+            elif type(r2) is RTensor:
+                qa, qb = p2.premises
+                la = self._ant_len(qa)
+                around.append((r2, (), (qb,)) if pos < la else (r2, (qa,), ()))
+                p2, pos = (qa, pos) if pos < la else (qb, pos - la)
+                continue
+            elif type(r1) in (LUnit, LTensor, Exchange):  # left-premise commutation
+                around.append((_shifted(r1, pos, -1), (), ()))
+                p1 = p1.premises[0]
+                continue
+            elif type(r2) is LUnit and type(r1) is RUnit:  # primary reductions: r2 introduces B
+                out = p2.premises[0]
+            elif type(r2) is LTensor and type(r1) is RTensor:
+                second.append((p1.premises[0], pos, len(around)))
+                p1, p2, pos = p1.premises[1], p2.premises[0], pos + 1
+                continue
+            else:  # an axiom leaf introduces the cut term; keep this cut
+                out = self._cut(p1, p2, pos)
+            floor = second[-1][2] if second else 0
+            while len(around) > floor:
+                rule, before, after = around.pop()
+                out = out if rule is None else Proof(rule, (*before, out, *after))
+            if not second:
+                return out
+            p1, pos, _ = second.pop()
+            p2 = out
 
 
 def eliminate_cuts(proof: Proof, mode: Mode) -> Proof:
-    """Remove cuts innermost-first; the conclusion is preserved.
+    """Remove cuts innermost-first, at any depth; the conclusion is preserved.
 
-    Cuts whose cut term comes from a theory axiom leaf cannot be removed and
-    remain in the result; :func:`tensorlogic.kernel.cut_paths` reports them.
+    A proof that does not check, with every axiom leaf licensed, raises the
+    :class:`ProofError` that :func:`check` raises.  Cuts whose cut term comes
+    from a theory axiom leaf cannot be removed and remain in the result;
+    :func:`tensorlogic.kernel.cut_paths` reports them.
     """
+    check(proof, mode, _PERMISSIVE)
     return fold(proof, _Eliminator(mode).eliminate)
 
 
@@ -279,7 +271,7 @@ class _Rewriter(_Pass):
         p1, p2 = node.premises
         _require(isinstance(p1.rule, LTensor), "left premise is not a left-tensor step")
         pos = self._epos(node)
-        return Proof(LTensor(pos + p1.rule.position), (self._cut(p1.premises[0], p2, pos),))
+        return Proof(_shifted(p1.rule, pos, -1), (self._cut(p1.premises[0], p2, pos),))
 
     def lx_cut_l_inv(self, node: Proof) -> Proof:
         _require(isinstance(node.rule, LTensor), "expected a left-tensor over a cut")
@@ -290,7 +282,7 @@ class _Rewriter(_Pass):
         s = node.rule.position
         len_g = self._ant_len(p1)
         _require(pos <= s and s + 1 <= pos + len_g - 1, "fused pair is not inside the spliced block")
-        return self._cut(Proof(LTensor(s - pos), (p1,)), p2, pos)
+        return self._cut(Proof(_shifted(node.rule, -pos, -1), (p1,)), p2, pos)
 
     # (6) left-tensor inside the cut's right premise, away from the cut item
     def lx_cut_r_fwd(self, node: Proof) -> Proof:
@@ -298,12 +290,10 @@ class _Rewriter(_Pass):
         p1, p2 = node.premises
         _require(isinstance(p2.rule, LTensor), "right premise is not a left-tensor step")
         pos = self._epos(node)
-        q = p2.rule.position
-        _require(q != pos, "the left-tensor fuses the cut item")
-        d = self._ant_len(p1) - 1
-        pos_src = pos if pos < q else pos + 1
-        q2 = q + d if q > pos_src else q
-        return Proof(LTensor(q2), (self._cut(p1, p2.premises[0], pos_src),))
+        src = _source(p2.rule, pos)
+        _require(src is not None, "the left-tensor fuses the cut item")
+        rule = _shifted(p2.rule, self._ant_len(p1) - 1, src)
+        return Proof(rule, (self._cut(p1, p2.premises[0], src),))
 
     def lx_cut_r_inv(self, node: Proof) -> Proof:
         _require(isinstance(node.rule, LTensor), "expected a left-tensor over a cut")
@@ -314,9 +304,9 @@ class _Rewriter(_Pass):
         s = node.rule.position
         len_g = self._ant_len(p1)
         if s + 1 < pos:
-            return self._cut(p1, Proof(LTensor(s), (p2,)), pos - 1)
+            return self._cut(p1, Proof(node.rule, (p2,)), pos - 1)
         if s >= pos + len_g:
-            return self._cut(p1, Proof(LTensor(s - len_g + 1), (p2,)), pos)
+            return self._cut(p1, Proof(_shifted(node.rule, 1 - len_g, -1), (p2,)), pos)
         raise TransformMismatch("fused pair overlaps the spliced block")
 
     # (7) cut into one factor of a right-tensor

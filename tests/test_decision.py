@@ -372,6 +372,19 @@ def test_theory_cut_search_on_a_long_comb():
     assert not result.found  # its cut-free proofs have at least 382 nodes
 
 
+def test_cut_terms_of_a_deep_comb():
+    """The cut terms of a goal are collected with an explicit stack, so a
+    1,500-atom left comb ``t |- t`` gives its 1,500 atoms, its 1,499 left
+    prefixes and ``1``; the recursive walk raised ``RecursionError`` there.
+    Sorting the candidates by their text grows with the square of the comb,
+    so the test stays at 1,500 atoms (about 1.4 s on 2 cores)."""
+    names = [f"A{i}" for i in range(1500)]
+    theory = parse_theory(f"atoms {' '.join(names)} ; free A0 ;")
+    comb = tensor_of(Atom(n) for n in names)
+    terms = Prover(Mode.T, theory)._cut_terms(((comb,), comb))
+    assert len(terms) == 3000 and terms[-1] is comb
+
+
 def test_chain_length_closed_form():
     """The budget's Exchange count matches the chain that is built, for
     every cut span and tensor split up to 9 items."""
