@@ -13,8 +13,8 @@ comparing composite morphisms.
 
 from __future__ import annotations
 
-from .decision import identity_proof, synthesize_proof
-from .kernel import Exchange, LTensor, LUnit, Mode, Proof, RTensor, check, cut_proofs, tensor_proofs
+from .decision import _realise, synthesize_proof
+from .kernel import LTensor, LUnit, Mode, Proof, check, cut_proofs, tensor_proofs
 from .terms import UNIT, Inference, Tensor, Term, _Frozen, _set, render_term, tensor_of
 
 
@@ -105,14 +105,16 @@ def associator(a: Term, b: Term, c: Term, mode: Mode) -> Morphism:
 
 
 def symmetry(a: Term, b: Term, mode: Mode) -> Morphism:
-    """``sigma_{A,B} : A (x) B -> B (x) A`` (mode ``t`` only).  Its proof is
-    built by hand: the braiding swaps the factors even of ``A (x) A``, whose
-    canonical proof is the identity."""
+    """``sigma_{A,B} : A (x) B -> B (x) A`` (mode ``t`` only): the synthesis
+    that feeds each atom of ``B`` and then of ``A`` from its own factor, so
+    the braiding swaps the factors even of ``A (x) A``, whose canonical
+    proof is the identity."""
     if mode is not Mode.T:
         raise ValueError("the braiding exists only in mode t")
-    ba = Proof(RTensor(), (identity_proof(b, mode), identity_proof(a, mode)))
-    tree = Proof(LTensor(0), (Proof(Exchange(0, 1, 2), (ba,)),))
-    return morphism_of(tree, mode)
+    na, nb = a.occurrences, b.occurrences
+    swap = [*range(na, na + nb), *range(na)]
+    source, target = Tensor(a, b), Tensor(b, a)
+    return Morphism(source, target, mode, _realise(Inference((source,), target), swap))
 
 
 def inverse(f: Morphism) -> Morphism:

@@ -97,23 +97,44 @@ def _assemble(proof: Proof, items: tuple[Term, ...], start: int) -> Proof:
     return proof
 
 
-def _occurrence_labels(names: list[str]) -> list[tuple[str, int]]:
-    seen: Counter = Counter()
-    out = []
-    for nm in names:
-        out.append((nm, seen[nm]))
-        seen[nm] += 1
-    return out
+def _leftmost(src: list[str], tgt: list[str]) -> list[int]:
+    """The leftmost matching of two atom lists with equal multisets: the
+    ``tgt`` index of each ``src`` occurrence, the i-th occurrence of a name
+    in ``src`` matched to its i-th occurrence in ``tgt``."""
+    where: dict[str, list[int]] = {}
+    for index in range(len(tgt) - 1, -1, -1):
+        where.setdefault(tgt[index], []).append(index)
+    return [where[name].pop() for name in src]
+
+
+def _realise(inference: Inference, links: list[int] | None) -> Proof:
+    """The cut-free proof of ``inference`` whose consequent atom occurrence
+    ``c`` is fed by antecedent atom occurrence ``links[c]``; ``None`` is the
+    identity matching.
+
+    Identity leaves cover the consequent's atoms, the consequent is assembled
+    by right-tensor steps following its tree shape, adjacent Exchange steps
+    (mode ``t`` only) move each antecedent occurrence in turn from its place
+    to its position, and each antecedent item is then rebuilt by left rules.
+    """
+    proof = _build_consequent(inference.consequent)
+    if links is not None:
+        cur = list(links)  # the antecedent occurrence at each position
+        for i in range(len(cur)):
+            j = cur.index(i, i)
+            if j > i:
+                del cur[j]
+                cur.insert(i, i)
+                for k in range(j, i, -1):
+                    proof = Proof(Exchange(k - 1, k, k + 1), (proof,))
+    return _assemble(proof, inference.antecedent, 0)
 
 
 def synthesize_proof(inference: Inference, mode: Mode) -> Proof:
     """The canonical cut-free proof of a provable inference.
 
-    Identity leaves cover the consequent's atoms, the consequent is assembled
-    by right-tensor steps following its tree shape, Exchange nodes (mode ``t``
-    only) realise the occurrence matching, and each antecedent item is then
-    rebuilt by left rules.  The i-th occurrence of an atom name on the left
-    matches the i-th occurrence on the right.
+    It realises the leftmost matching: the i-th occurrence of an atom name on
+    the left feeds the i-th occurrence on the right.
 
     Raises :class:`NotProvableError` if the inference fails the criterion.
     """
@@ -121,17 +142,7 @@ def synthesize_proof(inference: Inference, mode: Mode) -> Proof:
     tgt = atom_list(inference.antecedent)
     if not _provable(src, tgt, mode):
         raise NotProvableError(str(inference))
-    proof = _build_consequent(inference.consequent)
-    if src != tgt:  # mode t: realise the occurrence matching
-        cur = _occurrence_labels(src)
-        want = _occurrence_labels(tgt)
-        for i in range(len(want)):
-            j = cur.index(want[i], i)
-            while j > i:
-                cur[j - 1], cur[j] = cur[j], cur[j - 1]
-                proof = Proof(Exchange(j - 1, j, j + 1), (proof,))
-                j -= 1
-    return _assemble(proof, inference.antecedent, 0)
+    return _realise(inference, None if src == tgt else _leftmost(src, tgt))
 
 
 def identity_proof(term: Term, mode: Mode) -> Proof:

@@ -399,6 +399,81 @@ def rule_conclusion(
     return Inference(tuple(items), consequent)
 
 
+# --- wiring ------------------------------------------------------------------
+
+
+def _wiring(proof: Proof) -> list[int]:
+    """For each atom occurrence of the consequent of an axiom-free proof that
+    checks, left to right, the index of the antecedent atom occurrence that
+    feeds it: the proof's Kelly-Mac Lane graph.
+
+    Each identity leaf is a token that stands for its atom occurrence on
+    both sides.  A node's value is its antecedent, one rope per item, and its
+    consequent's rope, where a rope is a token or a tuple of ropes read left
+    to right; so a tensor rule joins two ropes in one step.  A ``Cut`` (of
+    its position, or of the last item when it has none) maps each token of
+    the cut item to the token at the same place in its left premise's
+    consequent, and the tokens of the root's consequent follow that map to
+    the antecedent.
+    """
+    alias: dict[int, int] = {}
+    leaves = 0
+
+    def step(rule: RuleApp, wired: list) -> tuple[list, object]:
+        nonlocal leaves
+        kind = type(rule)
+        if kind is Id:
+            leaves += 1
+            return [leaves], leaves
+        if kind is RUnit:
+            return [], ()
+        if kind is RTensor:
+            (items, left), (right_items, right) = wired
+            if len(items) < len(right_items):  # take over the longer list
+                right_items[:0] = items
+                items = right_items
+            else:
+                items += right_items
+            return items, (left, right)
+        if kind is Cut:
+            (gamma, b), (items, consequent) = wired
+            pos = len(items) - 1 if rule.position is None else rule.position
+            alias.update(zip(_tokens(items[pos]), _tokens(b)))
+            items[pos : pos + 1] = gamma
+            return items, consequent
+        ((items, consequent),) = wired
+        if kind is LUnit:
+            items.insert(rule.position, ())
+        elif kind is LTensor:
+            p = rule.position
+            items[p : p + 2] = ((items[p], items[p + 1]),)
+        else:
+            i, j, k = rule.i, rule.j, rule.k
+            items[i:k] = items[j:k] + items[i:j]
+        return items, consequent
+
+    items, consequent = fold(proof, step)
+    index = {token: a for a, token in enumerate(_tokens(tuple(items)))}
+    links = []
+    for token in _tokens(consequent):
+        while token in alias:  # each token is cut away once, so the paths are disjoint
+            token = alias[token]
+        links.append(index[token])
+    return links
+
+
+def _tokens(rope) -> list[int]:
+    """The tokens of a rope, left to right."""
+    out, stack = [], [rope]
+    while stack:
+        r = stack.pop()
+        if type(r) is tuple:
+            stack += reversed(r)
+        else:
+            out.append(r)
+    return out
+
+
 # --- constructors ------------------------------------------------------------
 
 

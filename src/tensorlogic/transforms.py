@@ -3,10 +3,14 @@
 Eleven named local transformations rearrange cuts, tensor rules, and
 identities while preserving the conclusion.  Each is bidirectional; the
 forward direction is the left-to-right reading of its defining figure.
-``eliminate_cuts`` removes every cut whose cut term is introduced by the
-logical rules, splicing in one loop so that any depth works; cuts fed by
-theory axiom leaves are kept in place, and a proof that does not check is
-rejected.
+``eliminate_cuts`` rejects a proof that does not check.  An axiom-free
+proof becomes the cut-free synthesis of its conclusion that keeps its wiring,
+the Kelly-Mac Lane graph that tells which antecedent atom occurrence feeds
+each consequent occurrence; in a symmetric monoidal category generated by
+objects that graph and the endpoints fix the morphism.  In a proof with
+axiom leaves every cut whose cut term is introduced by the logical rules is
+spliced away in one loop, so that any depth works, and cuts fed by axiom
+leaves are kept in place.
 ``canonicalize`` maps every proof of an inference to one canonical cut-free
 proof.  The derived eliminations of a unit or a tensor item and of a unit
 factor of the consequent cut a canonical proof against the given one.
@@ -18,8 +22,9 @@ compares conclusions, not trees.
 
 from __future__ import annotations
 
-from .decision import identity_proof, synthesize_proof
+from .decision import _realise, identity_proof, synthesize_proof
 from .kernel import (
+    AxiomNotLicensed,
     Cut,
     Exchange,
     LTensor,
@@ -40,6 +45,7 @@ from .kernel import (
     rule_conclusion,
     subproof_at,
     _PERMISSIVE,
+    _wiring,
 )
 from .terms import UNIT, Inference, Tensor, Term
 
@@ -159,15 +165,28 @@ class _Eliminator(_Pass):
 
 
 def eliminate_cuts(proof: Proof, mode: Mode) -> Proof:
-    """Remove cuts innermost-first, at any depth; the conclusion is preserved.
+    """This proof's conclusion and wiring, proved with no cut but those that
+    axiom leaves feed.
 
-    A proof that does not check, with every axiom leaf licensed, raises the
-    :class:`ProofError` that :func:`check` raises.  Cuts whose cut term comes
-    from a theory axiom leaf cannot be removed and remain in the result;
-    :func:`tensorlogic.kernel.cut_paths` reports them.
+    An axiom-free proof, which is one that checks with no theory, becomes
+    the synthesis of its conclusion that realises its wiring
+    (:func:`tensorlogic.kernel._wiring`).  In mode ``tprime`` that wiring is
+    forced, and the result is :func:`synthesize_proof` of the conclusion.
+    A proof with axiom leaves has its cuts spliced away innermost-first, at
+    any depth; cuts whose cut term comes from an axiom leaf cannot be
+    removed and remain in the result, where
+    :func:`tensorlogic.kernel.cut_paths` reports them.  A proof that does
+    not check, with every axiom leaf licensed, raises the
+    :class:`ProofError` that :func:`check` raises.
     """
-    check(proof, mode, _PERMISSIVE)
-    return fold(proof, _Eliminator(mode).eliminate)
+    try:
+        conclusion = check(proof, mode)
+    except AxiomNotLicensed:
+        check(proof, mode, _PERMISSIVE)
+        return fold(proof, _Eliminator(mode).eliminate)
+    if mode is Mode.T:
+        return _realise(conclusion, _wiring(proof))
+    return synthesize_proof(conclusion, mode)
 
 
 # --- named transformations ---------------------------------------------------

@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from tensorlogic import (
     Atom,
+    ConvAxiom,
     Cut,
     Id,
     Inference,
+    LAxiom,
     Mode,
     Proof,
+    RAxiom,
     Tensor,
     TRANSFORMS,
     TransformMismatch,
@@ -24,18 +27,20 @@ from tensorlogic import (
     eliminate_cuts,
     identity_proof,
     parse_proof,
+    parse_theory,
     proofs_equivalent,
     render_proof,
     synthesize_proof,
     tensor_of,
 )
-from tensorlogic.kernel import ArityError, PositionOutOfRange, RuleMismatch
+from tensorlogic.kernel import ArityError, PositionOutOfRange, RuleMismatch, _wiring, fold
 from helpers import ATOMS, _tree, random_proof, random_term, transform_instance, wiring
 
 seeds = st.integers(0, 2**32 - 1)
 modes_st = st.sampled_from([Mode.T, Mode.TPRIME])
 names_st = st.sampled_from(TRANSFORMS)
 dirs_st = st.sampled_from(["forward", "inverse"])
+AXIOMS = (RAxiom, LAxiom, ConvAxiom)
 
 
 @given(seeds, modes_st)
@@ -157,8 +162,6 @@ def test_elimination_lands_in_the_same_class(seed, mode):
 
 
 def test_eliminate_keeps_axiom_fed_cuts():
-    from tensorlogic.theory import parse_theory
-
     theory = parse_theory("atoms A B ; free A ; convert A -> B ;")
     proof = parse_proof("(cut (ax-r A) (conv A B))")
     conc = check(proof, Mode.T, theory)
@@ -170,8 +173,11 @@ def test_eliminate_keeps_axiom_fed_cuts():
 def test_eliminate_cuts_outputs_are_pinned():
     """The rendered ``eliminate_cuts`` outputs of seeds 0-499 in both modes,
     hashed together: for each seed a random proof of 3-39 steps, and that
-    proof cut into the identity proof of its consequent.  The digest was
-    recorded from the recursive ``splice`` that the loop replaced."""
+    proof cut into the identity proof of its consequent.  The inputs are
+    axiom-free, so each output is a synthesis of the conclusion; the digest
+    was re-recorded when that synthesis replaced the splice for them.  In
+    mode ``tprime`` the wiring is forced and the output is the canonical
+    proof."""
     digest = hashlib.sha256()
     for seed in range(500):
         for mode in (Mode.T, Mode.TPRIME):
@@ -180,8 +186,40 @@ def test_eliminate_cuts_outputs_are_pinned():
             consequent = check(proof, mode).consequent
             cut = cut_proofs(proof, identity_proof(consequent, mode), 0, mode, 1)
             for p in (proof, cut):
-                digest.update(render_proof(eliminate_cuts(p, mode)).encode() + b"\n")
-    assert digest.hexdigest() == "566cd80fde0a995d1195c3e75ad0ea752086f20d0d6fceb89172b1ed4ae16d50"
+                out = eliminate_cuts(p, mode)
+                if mode is Mode.TPRIME:
+                    assert out == synthesize_proof(check(p, mode), mode)
+                digest.update(render_proof(out).encode() + b"\n")
+    assert digest.hexdigest() == "1f7cda238c1bd4fa31acda4089462dd2d50f2805ec59fc574d9ad801e5f8cafd"
+
+
+def test_eliminate_cuts_of_theory_proofs_are_pinned():
+    """The rendered ``eliminate_cuts`` outputs of the random theory proofs of
+    seeds 0-499 that hold an axiom leaf, in both modes, hashed together: for
+    each such seed the proof and that proof cut into the identity proof of
+    its consequent.  These inputs take the splice; the digest was recorded
+    before axiom-free inputs stopped taking it, and 182 of the outputs keep
+    an axiom-fed cut."""
+    theory = parse_theory(
+        "atoms A B C ; free A ; free B * C ; dispose B ; dispose C * A ;"
+        " convert A -> B ; convert B * C -> A * A ;"
+    )
+    digest = hashlib.sha256()
+    kept = 0
+    for seed in range(500):
+        for mode in (Mode.T, Mode.TPRIME):
+            rng = random.Random(seed)
+            proof = random_proof(rng, mode, steps=rng.randrange(3, 40), theory=theory)
+            if not fold(proof, lambda rule, leaves: type(rule) in AXIOMS or any(leaves)):
+                continue
+            consequent = check(proof, mode, theory).consequent
+            cut = cut_proofs(proof, identity_proof(consequent, mode), 0, mode, 1)
+            for p in (proof, cut):
+                out = eliminate_cuts(p, mode)
+                kept += bool(cut_paths(out))
+                digest.update(render_proof(out).encode() + b"\n")
+    assert kept == 182
+    assert digest.hexdigest() == "a88d78b471a55110ce2c170c06773c5ae6a1f6e9cd76cb65566a21d4ab0ecb87"
 
 
 def _deep_term(rng, depth):
@@ -213,12 +251,42 @@ def _deep_cut(rng, mode):
 @pytest.mark.parametrize("mode", [Mode.T, Mode.TPRIME])
 def test_eliminate_cuts_keeps_the_wiring(mode):
     """Cut elimination keeps the Kelly-Mac Lane wiring of axiom-free proofs:
-    which antecedent atom occurrence feeds each consequent occurrence."""
+    which antecedent atom occurrence feeds each consequent occurrence.  A
+    deep cut of two syntheses composes two leftmost matchings, so its wiring
+    is leftmost too; the random proofs' Exchange steps give other wirings,
+    which an output that ignored the wiring would lose."""
     for seed in range(60):
-        proof = _deep_cut(random.Random(seed), mode)
-        out = eliminate_cuts(proof, mode)
-        assert not cut_paths(out)
-        assert wiring(out, mode) == wiring(proof, mode), seed
+        rng = random.Random(seed)
+        for proof in (_deep_cut(rng, mode), random_proof(rng, mode, steps=rng.randrange(10, 40))):
+            out = eliminate_cuts(proof, mode)
+            assert not cut_paths(out)
+            assert wiring(out, mode) == wiring(proof, mode), seed
+
+
+def test_eliminate_cuts_keeps_a_swap_cut_against_a_swap():
+    """Two swaps of ``B, B`` compose to the identity wiring, though the right
+    premise concludes ``B * B |- B * B`` like an identity proof.  The splice
+    took that conclusion for an identity and returned the left premise, the
+    swap; found by a differential run of seeds 0-3,999 (6 of 16,000 inputs,
+    all mode t)."""
+    proof = parse_proof("(cut (ex 0 1 2 (rx (id B) (id B))) (lx 0 (cut (id B) (ex 0 1 2 (rx (id B) (id B))))))")
+    out = eliminate_cuts(proof, Mode.T)
+    assert wiring(proof, Mode.T) == wiring(out, Mode.T) == [0, 1]
+    assert render_proof(out) == "(rx (id B) (id B))"
+
+
+@given(seeds, modes_st)
+@settings(max_examples=150, deadline=None)
+def test_wiring_fold_matches_the_reference(seed, mode):
+    """The library's iterative wiring fold equals the recursive reference in
+    ``helpers.wiring``: on a deep cut (items of depth 4, 6-8 of them, atoms
+    repeated), on that cut cut again into the identity proof of its
+    consequent, and on a random proof with cuts, Exchange steps and units."""
+    rng = random.Random(seed)
+    deep = _deep_cut(rng, mode)
+    again = cut_proofs(deep, identity_proof(check(deep, mode).consequent, mode), 0, mode, 1)
+    for proof in (deep, again, random_proof(rng, mode, steps=rng.randrange(10, 40))):
+        assert _wiring(proof) == wiring(proof, mode)
 
 
 @pytest.mark.parametrize(
@@ -241,20 +309,22 @@ def test_eliminate_cuts_rejects_proofs_that_do_not_check(mode, bad, error):
 def test_eliminate_cuts_of_deep_combs():
     """The cut of the synthesised ``A0, ..., An-1 |- t`` against the
     synthesised ``t |- u``, ``t`` the n-atom left comb and ``u`` the right
-    comb, goes through ``eliminate_cuts`` in both modes at n = 3,200 and the
-    result checks to the cut's conclusion.  A recursive splice raised
-    ``RecursionError`` from about 1,200 atoms.  The test takes about 1.3 s
-    on 2 cores; the budget is 30 s."""
-    atoms = [Atom(f"A{i}") for i in range(3200)]
-    left = tensor_of(atoms)
-    right = atoms[-1]
-    for a in reversed(atoms[:-1]):
-        right = Tensor(a, right)
+    comb, goes through ``eliminate_cuts`` in both modes at n = 3,200 and
+    n = 10,000, and the result checks to the cut's conclusion.  A recursive
+    splice raised ``RecursionError`` from about 1,200 atoms, and the splice
+    loop took 4.9 s (mode t) and 5.9 s (tprime) at 10,000 atoms with a
+    1.26 GB peak.  The test takes about 2 s on 2 cores; the budget is 30 s."""
     start = time.perf_counter()
-    for mode in (Mode.T, Mode.TPRIME):
-        p1 = synthesize_proof(Inference(tuple(atoms), left), mode)
-        p2 = synthesize_proof(Inference((left,), right), mode)
-        out = eliminate_cuts(cut_proofs(p1, p2, 0, mode, 1), mode)
-        assert check(out, mode) == Inference(tuple(atoms), right)
-        assert not cut_paths(out)
+    for n in (3200, 10000):
+        atoms = [Atom(f"A{i}") for i in range(n)]
+        left = tensor_of(atoms)
+        right = atoms[-1]
+        for a in reversed(atoms[:-1]):
+            right = Tensor(a, right)
+        for mode in (Mode.T, Mode.TPRIME):
+            p1 = synthesize_proof(Inference(tuple(atoms), left), mode)
+            p2 = synthesize_proof(Inference((left,), right), mode)
+            out = eliminate_cuts(cut_proofs(p1, p2, 0, mode, 1), mode)
+            assert check(out, mode) == Inference(tuple(atoms), right)
+            assert not cut_paths(out)
     assert time.perf_counter() - start < 30
