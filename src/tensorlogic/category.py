@@ -106,9 +106,9 @@ def associator(a: Term, b: Term, c: Term, mode: Mode) -> Morphism:
 
 def symmetry(a: Term, b: Term, mode: Mode) -> Morphism:
     """``sigma_{A,B} : A (x) B -> B (x) A`` (mode ``t`` only): the synthesis
-    that feeds each atom of ``B`` and then of ``A`` from its own factor, so
-    the braiding swaps the factors even of ``A (x) A``, whose canonical
-    proof is the identity."""
+    that feeds each atom of ``B`` and then of ``A`` from its own factor, by
+    one block Exchange, so the braiding swaps the factors even of
+    ``A (x) A``, whose canonical proof is the identity."""
     if mode is not Mode.T:
         raise ValueError("the braiding exists only in mode t")
     na, nb = a.occurrences, b.occurrences

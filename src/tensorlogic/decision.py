@@ -107,26 +107,36 @@ def _leftmost(src: list[str], tgt: list[str]) -> list[int]:
     return [where[name].pop() for name in src]
 
 
-def _realise(inference: Inference, links: list[int] | None) -> Proof:
+def _realise(inference: Inference, links: list[int] | None, adjacent: bool = False) -> Proof:
     """The cut-free proof of ``inference`` whose consequent atom occurrence
     ``c`` is fed by antecedent atom occurrence ``links[c]``; ``None`` is the
     identity matching.
 
     Identity leaves cover the consequent's atoms, the consequent is assembled
-    by right-tensor steps following its tree shape, adjacent Exchange steps
-    (mode ``t`` only) move each antecedent occurrence in turn from its place
-    to its position, and each antecedent item is then rebuilt by left rules.
+    by right-tensor steps following its tree shape, Exchange steps (mode
+    ``t`` only) bring each antecedent occurrence ``i`` in turn to position
+    ``i``, and each antecedent item is then rebuilt by left rules.  One
+    block Exchange moves occurrence ``i`` together with the run ``i + 1,
+    ...`` that follows it, so at most one node per atom is added; with
+    ``adjacent``, as in :func:`synthesize_proof`, one adjacent Exchange is
+    added per place that occurrence ``i`` moves.
     """
     proof = _build_consequent(inference.consequent)
     if links is not None:
         cur = list(links)  # the antecedent occurrence at each position
         for i in range(len(cur)):
             j = cur.index(i, i)
-            if j > i:
-                del cur[j]
-                cur.insert(i, i)
+            if j == i:
+                continue
+            end = j + 1
+            if adjacent:
                 for k in range(j, i, -1):
                     proof = Proof(Exchange(k - 1, k, k + 1), (proof,))
+            else:
+                while end < len(cur) and cur[end] == i + end - j:
+                    end += 1
+                proof = Proof(Exchange(i, j, end), (proof,))
+            cur[i:end] = cur[j:end] + cur[i:j]
     return _assemble(proof, inference.antecedent, 0)
 
 
@@ -142,7 +152,7 @@ def synthesize_proof(inference: Inference, mode: Mode) -> Proof:
     tgt = atom_list(inference.antecedent)
     if not _provable(src, tgt, mode):
         raise NotProvableError(str(inference))
-    return _realise(inference, None if src == tgt else _leftmost(src, tgt))
+    return _realise(inference, None if src == tgt else _leftmost(src, tgt), adjacent=True)
 
 
 def identity_proof(term: Term, mode: Mode) -> Proof:

@@ -184,9 +184,7 @@ def eliminate_cuts(proof: Proof, mode: Mode) -> Proof:
     except AxiomNotLicensed:
         check(proof, mode, _PERMISSIVE)
         return fold(proof, _Eliminator(mode).eliminate)
-    if mode is Mode.T:
-        return _realise(conclusion, _wiring(proof))
-    return synthesize_proof(conclusion, mode)
+    return _realise(conclusion, _wiring(proof) if mode is Mode.T else None)
 
 
 # --- named transformations ---------------------------------------------------

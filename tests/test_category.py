@@ -171,6 +171,16 @@ def test_wiring_tells_symmetry_from_identity():
     assert wiring(ident.proof, Mode.T) == [0, 1]
 
 
+def test_symmetry_of_compound_factors_adds_one_exchange():
+    """sigma_{A,B} moves the atoms of ``B`` past those of ``A`` in one block
+    Exchange: its proof is one node larger than the identity proof of
+    ``A (x) B``, not one node larger per pair of atoms."""
+    a, b = tensor_of([A, B, C, D]), Tensor(Tensor(C, UNIT), Tensor(A, Tensor(A, B)))
+    sigma = symmetry(a, b, Mode.T)
+    assert sigma.proof.size() == identity(Tensor(a, b), Mode.T).proof.size() + 1
+    assert wiring(sigma.proof, Mode.T) == [4, 5, 6, 7, 0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("a,b", [(A, A), (A, B), (Tensor(A, B), A)])
 def test_symmetry_inverse_legs_wire_alike(a, b):
     left = compose(symmetry(a, b, Mode.T), symmetry(b, a, Mode.T))
